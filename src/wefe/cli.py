@@ -11,13 +11,16 @@ import time
 import numpy as np
 
 from . import __version__, catalog, classify, constants, groebner, ode, weighted
-from .errors import WefeError
+from .errors import VanishingGradient, WefeError
 from .sampling import resolve_seed, sample_box
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_EVAL = 3
 EXIT_BAD_INPUT = 4
+
+# plan points tried in turn for the default classification point
+PROBE_POINTS = 8
 
 
 def _round_floats(obj):
@@ -62,9 +65,18 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _probe_point(spec) -> np.ndarray:
-    # deterministic generic interior point (box centers can be degenerate)
-    return sample_box(spec.box, 1, resolve_seed())[0]
+def _classify_at_probe(spec):
+    """Classify at the first of the leading sample-plan points where
+    grad h does not vanish: a plan point can sit on a critical point of
+    the density (a box midpoint, say), where the causal character is
+    undefined."""
+    pts = sample_box(spec.box, PROBE_POINTS, resolve_seed())
+    for p in pts[:-1]:
+        try:
+            return classify.classify(spec, p)
+        except VanishingGradient:
+            pass
+    return classify.classify(spec, pts[-1])
 
 
 def _entry_specs(args):
@@ -90,7 +102,7 @@ def cmd_verify(args) -> int:
             wrep = weighted.verify(spec, samples=args.samples, atol=atol, rtol=rtol)
             item = wrep.as_dict()
             try:
-                crep = classify.classify(spec, _probe_point(spec))
+                crep = _classify_at_probe(spec)
                 item["classification"] = crep.as_dict()
                 for flag, got in (("ricci_type", crep.type_tag),
                                   ("causal_character", crep.causal_character)):
@@ -112,20 +124,28 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if len(args.entry) != 1:
+        sys.stderr.write("error: classify takes exactly one --entry\n")
+        return EXIT_BAD_INPUT
     try:
         spec = catalog.build(args.entry[0])
     except WefeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
+    p = None
     if args.point:
-        p = np.array([float(x) for x in args.point.split(",")])
+        try:
+            p = np.array([float(x) for x in args.point.split(",")])
+        except ValueError:
+            sys.stderr.write(f"error: bad --point {args.point!r}, expected "
+                             f"comma-separated numbers\n")
+            return EXIT_BAD_INPUT
         if p.shape != (spec.n,):
             sys.stderr.write(f"error: point needs {spec.n} coordinates\n")
             return EXIT_BAD_INPUT
-    else:
-        p = _probe_point(spec)
     try:
-        crep = classify.classify(spec, p)
+        crep = (_classify_at_probe(spec) if p is None
+                else classify.classify(spec, p))
     except WefeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_EVAL
@@ -175,7 +195,12 @@ def cmd_ode(args) -> int:
         if not _:
             sys.stderr.write(f"error: bad --param {kv!r}, expected key=value\n")
             return EXIT_BAD_INPUT
-        params[k] = int(v) if k == "n" else float(v)
+        try:
+            params[k] = int(v) if k == "n" else float(v)
+        except ValueError:
+            sys.stderr.write(f"error: bad --param {kv!r}, value is not "
+                             f"a number\n")
+            return EXIT_BAD_INPUT
     try:
         t0, t1 = (float(x) for x in args.span.split(":"))
     except ValueError:
@@ -208,6 +233,9 @@ def cmd_ode(args) -> int:
         traj.to_csv(args.csv)
         report["csv"] = args.csv
     _emit(report, args)
+    tol = constants.SOLUTION_TOL
+    if traj.terminated_early or not max(dev, drift_gamma, drift_kappa) < tol:
+        return EXIT_MISMATCH
     return EXIT_OK
 
 

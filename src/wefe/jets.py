@@ -1,16 +1,20 @@
-"""Closed-form scalar expressions and their order-3 Taylor jets.
+"""Closed-form scalar expressions and their truncated Taylor jets.
 
 An :class:`Expr` is a small immutable tree over chart coordinates built
 from {constants, coordinates, add, mul, div, neg, pow, exp, log, sin,
-cos, sqrt}.  Evaluation produces either plain values or order-3
-truncated Taylor expansions (jets) holding every mixed partial up to
-third order, which is all the curvature machinery ever needs.
+cos, sqrt}.  Evaluation produces either plain values or truncated
+Taylor expansions (jets) holding every mixed partial up to a chosen
+total order of at most 3, which is all the curvature machinery ever
+needs.  Each :class:`JetContext` fixes one truncation order, so a stage
+that reads only first derivatives multiplies order-1 jets (9 index
+pairs for n = 4) instead of order-3 ones (165 pairs).
 
 Jets are stored densely: one coefficient per multi-index of total
-degree <= 3, Taylor-normalized (the coefficient of ``alpha`` is
-``d^alpha f / alpha!``).  The batched engine works on numpy arrays
-whose last axis runs over the multi-indices, so evaluating a component
-at 100 sample points costs about the same as at one.
+degree <= order, Taylor-normalized (the coefficient of ``alpha`` is
+``d^alpha f / alpha!``) and ordered by ascending degree, so a lower-order
+jet is a prefix of a higher-order one.  The batched engine works on numpy
+arrays whose last axis runs over the multi-indices, so evaluating a
+component at 100 sample points costs about the same as at one.
 """
 
 from __future__ import annotations
@@ -253,22 +257,29 @@ def parse_sexpr(text, coord_names, params=None):
 # -- jet context -------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def jet_context(n):
-    return JetContext(n)
+def jet_context(n, order=MAX_ORDER):
+    """The shared :class:`JetContext` for ``n`` variables truncated at
+    total degree ``order``."""
+    return JetContext(n, order)
 
 
 class JetContext:
-    """Multi-index bookkeeping and vectorized ring operations for
-    order-3 jets in ``n`` variables.
+    """Multi-index bookkeeping and vectorized ring operations for jets in
+    ``n`` variables truncated at total degree ``order`` (0..3).
 
-    Jet arrays have shape ``(..., N)`` with ``N = C(n+3, 3)``; the last
-    axis is indexed by :attr:`multi_indices` (degree-ascending, then
-    lexicographic)."""
+    Jet arrays have shape ``(..., N)`` with ``N = C(n+order, order)``;
+    the last axis is indexed by :attr:`multi_indices` (degree-ascending,
+    then lexicographic).  The order-k multi-indices are therefore a prefix
+    of the order-3 ones, and truncating a jet to order k is the slice
+    ``a[..., :jet_context(n, k).N]``."""
 
-    def __init__(self, n):
+    def __init__(self, n, order=MAX_ORDER):
+        if not 0 <= order <= MAX_ORDER:
+            raise ValueError(f"jet order {order} outside 0..{MAX_ORDER}")
         self.n = n
+        self.order = order
         mis = []
-        for deg in range(MAX_ORDER + 1):
+        for deg in range(order + 1):
             mis.extend(sorted(_multi_indices(n, deg)))
         self.multi_indices = mis
         self.N = len(mis)
@@ -279,7 +290,7 @@ class JetContext:
         for i, a in enumerate(mis):
             for j, b in enumerate(mis):
                 s = tuple(x + y for x, y in zip(a, b))
-                if sum(s) <= MAX_ORDER:
+                if sum(s) <= order:
                     ti.append(i)
                     tj.append(j)
                     tk.append(self.index_of[s])
@@ -295,19 +306,18 @@ class JetContext:
         for d in range(n):
             tgt, src, mult = [], [], []
             for i, a in enumerate(mis):
-                if sum(a) >= MAX_ORDER:
+                if sum(a) >= order:
                     continue
                 up = list(a)
                 up[d] += 1
                 tgt.append(i)
                 src.append(self.index_of[tuple(up)])
                 mult.append(float(up[d]))
-            self._deriv.append((np.array(tgt), np.array(src), np.array(mult)))
+            self._deriv.append((np.array(tgt, dtype=int),
+                                np.array(src, dtype=int), np.array(mult)))
 
-        fact = [math.factorial(sum(a)) for a in mis]
         self.alpha_factorial = np.array(
             [np.prod([math.factorial(x) for x in a]) for a in mis], dtype=float)
-        del fact
 
     # -- constructors --------------------------------------------------
 
@@ -320,7 +330,8 @@ class JetContext:
         values = np.asarray(values, dtype=float)
         out = np.zeros(values.shape + (self.N,))
         out[..., 0] = values
-        out[..., self.index_of[_unit(self.n, i)]] = 1.0
+        if self.order >= 1:
+            out[..., self.index_of[_unit(self.n, i)]] = 1.0
         return out
 
     # -- ring operations ------------------------------------------------
@@ -331,8 +342,9 @@ class JetContext:
         return prod @ self._scatter
 
     def deriv(self, a, axis):
-        """Jet of the partial derivative along ``axis``.  Degree-3
-        coefficients of the result are zeroed (unknown)."""
+        """Jet of the partial derivative along ``axis``.  Coefficients of
+        degree ``order`` in the result are zeroed (unknown), so the result
+        is valid only to order ``order - 1``."""
         tgt, src, mult = self._deriv[axis]
         out = np.zeros_like(a)
         out[..., tgt] = a[..., src] * mult

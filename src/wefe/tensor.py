@@ -1,11 +1,19 @@
 """Pointwise pseudo-Riemannian curvature machinery.
 
-Everything is driven by order-3 jets of the metric components, so third
-metric derivatives (needed by the covariant derivative of the Schouten
-tensor) come out of the same evaluation.  The batched :class:`Frame`
-computes all curvature data at an array of sample points at once; the
-public single-point operations are thin wrappers returning
-:class:`TensorValue` records.
+Everything is driven by Taylor jets of the metric components.  The
+batched :class:`Frame` computes all curvature data at an array of sample
+points at once, carrying each stage only to the derivative order that a
+later stage reads:
+
+    g                                 order 3
+    g^-1, dg, Gamma, density h        order 2
+    dGamma, R, rho, tau, J, P, dh     order 1
+    Hes_h                             values only
+
+so third metric derivatives (needed by the covariant derivative of the
+Schouten tensor) still come out of the one evaluation of g.  The public
+single-point operations are thin wrappers returning :class:`TensorValue`
+records.
 
 Curvature sign conventions are frozen in :mod:`wefe.constants`: the
 valence-4 curvature is R(X,Y,Z,U) = g((nabla_[X,Y] - [nabla_X,
@@ -123,9 +131,16 @@ class Frame:
         self._compute()
 
     def _compute(self):
-        spec, ctx, n, m = self.spec, self.ctx, self.n, self.m
+        spec, n, m = self.spec, self.n, self.m
         pts = self.pts
-        d1_idx = [ctx.index_of[_unit(n, i)] for i in range(n)]
+        # Each stage is carried only to the highest derivative order a
+        # later stage reads from it: g at order 3, g^-1, dg, Gamma and h at
+        # order 2, dGamma, dh and the curvature at order 1, Hes_h as
+        # values.  Truncating a jet to order k is the slice [..., :N_k].
+        c3 = self.ctx
+        c2, c1, c0 = (J.jet_context(n, k) for k in (2, 1, 0))
+        N2, N1 = c2.N, c1.N
+        d1_idx = [c1.index_of[_unit(n, i)] for i in range(n)]
 
         def values(a):
             """(comp..., m, N) jets -> (m, comp...) values."""
@@ -138,11 +153,11 @@ class Frame:
             d = np.moveaxis(d, -1, 0)     # (m, axis, comp...)
             return d
 
-        # metric jets
-        gJ = np.empty((n, n, m, ctx.N))
+        # metric jets, order 3
+        gJ = np.empty((n, n, m, c3.N))
         for i in range(n):
             for j in range(n):
-                gJ[i, j] = J.eval_jets(spec.g[i][j], pts, ctx)
+                gJ[i, j] = J.eval_jets(spec.g[i][j], pts, c3)
         self.g0 = values(gJ)
 
         det = np.linalg.det(self.g0)
@@ -158,77 +173,82 @@ class Frame:
                 f"{spec.name}: eigenvalue signs do not match "
                 f"{spec.signature} tag")
 
-        # jet-ring metric inverse by Newton iteration from the numeric
-        # inverse; two steps are exact at truncation order 3
+        # order-2 jet-ring metric inverse by Newton iteration from the
+        # numeric inverse; each step doubles the exact order, so two steps
+        # are exact at truncation order 2 (and would be at 3)
+        g2 = gJ[..., :N2]
         ginv0 = np.linalg.inv(self.g0)
-        X = np.zeros_like(gJ)
+        X = np.zeros_like(g2)
         X[..., 0] = np.moveaxis(ginv0, 0, -1)
-        eye = np.zeros_like(gJ)
+        eye = np.zeros_like(g2)
         for i in range(n):
             eye[i, i, :, 0] = 1.0
         for _ in range(2):
-            AX = _jmm(ctx, gJ, X)
-            X = _jmm(ctx, X, 2.0 * eye - AX)
+            AX = _jmm(c2, g2, X)
+            X = _jmm(c2, X, 2.0 * eye - AX)
         ginvJ = X
         self.ginv0 = ginv0
 
-        dgJ = np.empty((n, n, n, m, ctx.N))  # [a, i, j] = d_a g_ij
+        dgJ = np.empty((n, n, n, m, N2))  # [a, i, j] = d_a g_ij, order 2
         for a in range(n):
-            dgJ[a] = ctx.deriv(gJ, a)
+            dgJ[a] = c3.deriv(gJ, a)[..., :N2]
         self.dg = values(dgJ)
 
-        # Christoffel symbols: lowered and raised, as jets
+        # Christoffel symbols: lowered and raised, as order-2 jets
         lowJ = 0.5 * (np.transpose(dgJ, (2, 0, 1, 3, 4))
                       + np.transpose(dgJ, (2, 1, 0, 3, 4))
                       - dgJ)  # low[k, i, j] = G_kij
-        upJ = ctx.mul(ginvJ[:, :, None, None], lowJ[None]).sum(axis=1)
+        upJ = c2.mul(ginvJ[:, :, None, None], lowJ[None]).sum(axis=1)
         self.gamma_low0 = values(lowJ)
         self.gamma0 = values(upJ)     # (m, k, i, j)
-        dupJ = np.empty((n,) + upJ.shape)
+        dupJ = np.empty((n,) + upJ.shape[:-1] + (N1,))
         for a in range(n):
-            dupJ[a] = ctx.deriv(upJ, a)
+            dupJ[a] = c2.deriv(upJ, a)[..., :N1]
         self.dgamma = values(dupJ)    # (m, a, k, i, j)
         # second derivatives of Gamma from the degree-2 jet slots
-        self.d2gamma = _second_derivs(ctx, upJ)  # (m, a, b, k, i, j)
+        self.d2gamma = _second_derivs(c2, upJ)  # (m, a, b, k, i, j)
 
-        # curvature R~(i,j,k,l), Christoffel form, valid to jet order 1
-        rmJ = np.zeros((n, n, n, n, m, ctx.N))
+        # curvature R~(i,j,k,l), Christoffel form, as order-1 jets
+        g1, low1, up1 = gJ[..., :N1], lowJ[..., :N1], upJ[..., :N1]
+        rmJ = np.zeros((n, n, n, n, m, N1))
         for i in range(n):
             for j in range(i + 1, n):
                 dE = dupJ[i, :, j, :] - dupJ[j, :, i, :]   # (mc, k, m, N)
-                t1 = ctx.mul(gJ[:, :, None], dE[None]).sum(axis=1)  # (l, k)
-                t2 = ctx.mul(lowJ[:, i, :, None], upJ[None, :, j, :]).sum(axis=1)
-                t3 = ctx.mul(lowJ[:, j, :, None], upJ[None, :, i, :]).sum(axis=1)
+                t1 = c1.mul(g1[:, :, None], dE[None]).sum(axis=1)  # (l, k)
+                t2 = c1.mul(low1[:, i, :, None], up1[None, :, j, :]).sum(axis=1)
+                t3 = c1.mul(low1[:, j, :, None], up1[None, :, i, :]).sum(axis=1)
                 comp = t1 + t2 - t3                        # (l, k, m, N)
                 rmJ[i, j] = np.transpose(comp, (1, 0, 2, 3))
                 rmJ[j, i] = -rmJ[i, j]
         self.rm_std0 = values(rmJ)               # (m, i, j, k, l)
         self.riemann0 = RIEMANN_SIGN * self.rm_std0
 
-        # Ricci jets (valid to order 1) and scalar curvature
-        ricJ = RICCI_SIGN * ctx.mul(
-            ginvJ[:, :, None, None],
+        # Ricci and scalar curvature, order-1 jets
+        ginv1 = ginvJ[..., :N1]
+        ricJ = RICCI_SIGN * c1.mul(
+            ginv1[:, :, None, None],
             np.transpose(rmJ, (0, 3, 1, 2, 4, 5))).sum(axis=(0, 1))
-        tauJ = ctx.mul(ginvJ, ricJ).sum(axis=(0, 1))
+        tauJ = c1.mul(ginv1, ricJ).sum(axis=(0, 1))
         self.ric0 = values(ricJ)                 # (m, i, j)
         self.d_ric = derivs1(ricJ)               # (m, a, i, j)
         self.tau0 = values(tauJ)                 # (m,)
         self.d_tau = derivs1(tauJ)               # (m, a)
 
-        # density
-        hJ = J.eval_jets(spec.h, pts, ctx)
+        # density: h at order 2, dh at order 1, the Hessian as values
+        hJ = J.eval_jets(spec.h, pts, c2)
         if np.any(hJ[..., 0] <= 0.0):
             raise DomainError(f"{spec.name}: density not positive on box")
         self.h0 = values(hJ)
-        dhJ = np.empty((n, m, ctx.N))
+        dhJ = np.empty((n, m, N1))
         for a in range(n):
-            dhJ[a] = ctx.deriv(hJ, a)
+            dhJ[a] = c2.deriv(hJ, a)[..., :N1]
         self.dh = values(dhJ)                    # (m, a)
-        hesJ = np.empty((n, n, m, ctx.N))
+        hesJ = np.empty((n, n, m, c0.N))
         for i in range(n):
             for j in range(n):
-                hesJ[i, j] = ctx.deriv(dhJ[i], j)
-        hesJ -= ctx.mul(upJ, dhJ[:, None, None]).sum(axis=0)
+                hesJ[i, j] = c1.deriv(dhJ[i], j)[..., :c0.N]
+        up0, dh0 = upJ[..., :c0.N], dhJ[..., :c0.N]
+        hesJ -= c0.mul(up0, dh0[:, None, None]).sum(axis=0)
         self.hes0 = values(hesJ)                 # (m, i, j)
         self.lap0 = np.einsum("mij,mij->m", ginv0, self.hes0)
         self.gradh = np.einsum("mij,mj->mi", ginv0, self.dh)
@@ -237,7 +257,7 @@ class Frame:
         # Schouten tensor jets and its covariant derivative values
         nn = float(n)
         jJ = tauJ / (2.0 * (nn - 1.0))           # scalar J jets
-        pJ = (ricJ - ctx.mul(jJ[None, None], gJ)) / (nn - 2.0)
+        pJ = (ricJ - c1.mul(jJ[None, None], g1)) / (nn - 2.0)
         self.schouten0 = values(pJ)
         self.scalar_j0 = values(jJ)
         self.cov_schouten = _cov2(values(pJ), derivs1(pJ), self.gamma0)

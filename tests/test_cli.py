@@ -175,3 +175,49 @@ def test_stdout_json(capsys):
     assert run(["verify", "--entry", "minkowski", "--samples", "5"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["entries"]["minkowski"]["spec"] == "minkowski"
+
+
+def test_verify_whole_catalog(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert len(rep["entries"]) == 14
+    for eid, item in rep["entries"].items():
+        assert "error" not in item, eid
+        assert item["points"] == 100, eid
+        assert item["mismatches"] == [], eid
+        assert "error" not in item["classification"], eid
+
+
+def test_verify_probe_skips_critical_point_of_density(tmp_path):
+    # h = cosh(sqrt(2) t) has zero gradient at the first plan point
+    out = tmp_path / "r.json"
+    assert run(["verify", "--entry", "cor36-1-kneg", "--samples", "10",
+                "--out", str(out)]) == 0
+    item = json.loads(out.read_text())["entries"]["cor36-1-kneg"]
+    cls = item["classification"]
+    assert cls["type"] == "I.a"
+    assert cls["causal_character"] == "timelike"
+    assert item["mismatches"] == []
+
+
+def test_classify_non_numeric_point():
+    assert run(["classify", "--entry", "minkowski",
+                "--point=a,b,c,d"]) == 4
+
+
+def test_classify_two_entries():
+    assert run(["classify", "--entry", "minkowski",
+                "--entry", "ex52-liegroup"]) == 4
+
+
+def test_ode_non_numeric_param():
+    assert run(["ode", "--branch", "direct", "--param", "eps=x"]) == 4
+
+
+def test_ode_early_termination_exit_2(tmp_path):
+    out = tmp_path / "o.json"
+    assert run(["ode", "--branch", "direct", "--param", "eps=1",
+                "--param", "kappa=1", "--param", "c1=1", "--param",
+                "c2=0.1", "--span=0:3", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["terminated_early"] is True

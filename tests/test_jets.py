@@ -148,3 +148,38 @@ def test_ring_product_commutes(c1, c2):
 def test_max_coord_index():
     e = parse_sexpr("(mul x (add y z))", ("x", "y", "z"))
     assert jets.max_coord_index(e) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_truncation_commutes_with_ring_ops(n, k, seed):
+    # an order-k jet is the first N_k coefficients of an order-3 jet, so
+    # multiplying truncated jets equals truncating the order-3 product
+    full, low = jet_context(n), jet_context(n, k)
+    assert low.multi_indices == full.multi_indices[:low.N]
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, (3, full.N))
+    b = rng.uniform(-2.0, 2.0, (3, full.N))
+    np.testing.assert_allclose(low.mul(a[..., :low.N], b[..., :low.N]),
+                               full.mul(a, b)[..., :low.N],
+                               rtol=1e-13, atol=1e-13)
+    below = jet_context(n, k - 1).N if k else 0
+    for axis in range(n):
+        np.testing.assert_array_equal(
+            low.deriv(a[..., :low.N], axis)[..., :below],
+            full.deriv(a, axis)[..., :below])
+        assert not np.any(low.deriv(a[..., :low.N], axis)[..., below:])
+
+
+def test_order_zero_context_is_plain_arithmetic():
+    ctx = jet_context(2, 0)
+    assert ctx.N == 1
+    x = ctx.coordinate(0, np.array([0.5, 2.0]))
+    np.testing.assert_allclose(ctx.mul(x, x)[..., 0], [0.25, 4.0])
+    np.testing.assert_allclose(ctx.exp(x, ())[..., 0], np.exp([0.5, 2.0]))
+    assert not np.any(ctx.deriv(x, 1))
+
+
+def test_jet_context_rejects_bad_order():
+    with pytest.raises(ValueError):
+        jet_context(2, 4)

@@ -114,3 +114,33 @@ def test_seed_changes_points_not_verdict():
     assert r0.is_solution and r1.is_solution
     assert r0.points == r1.points == 30
     assert r0.residuals["gh_residual"] != r1.residuals["gh_residual"]
+
+
+NIL_MANIFEST = """\
+id: nil-control
+dimension: 3
+signature: riemannian
+coords: x y z
+citation: Heisenberg group metric, not conformally flat
+box: -1 1
+box: -1 1
+box: -1 1
+metric 0 0: 1
+metric 1 1: (add 1 (mul x x))
+metric 1 2: (neg x)
+metric 2 2: 1
+density: (add 2 x)
+"""
+
+
+def test_3d_conformal_flatness_uses_cotton():
+    # Weyl vanishes identically in 3D; the Cotton tensor decides
+    nil = catalog.build(catalog.parse_manifest(NIL_MANIFEST))
+    rep = weighted.verify(nil, samples=30, seed=0)
+    assert rep.residuals["weyl_norm"] == 0.0
+    assert rep.residuals["cotton_norm"] > 1.0
+    assert not rep.locally_conformally_flat
+    warped = weighted.verify(catalog.build("ex37-warped3d"), samples=30,
+                             seed=0)
+    assert warped.residuals["cotton_norm"] < 1e-9
+    assert warped.locally_conformally_flat
