@@ -66,17 +66,20 @@ def _emit(report: dict, args) -> None:
 
 
 def _classify_at_probe(spec):
-    """Classify at the first of the leading sample-plan points where
-    grad h does not vanish: a plan point can sit on a critical point of
-    the density (a box midpoint, say), where the causal character is
-    undefined."""
-    pts = sample_box(spec.box, PROBE_POINTS, resolve_seed())
-    for p in pts[:-1]:
+    """Classify at the first Halton point where grad h does not vanish.
+
+    A plan point can sit on a critical point of the density (a box
+    midpoint, say), where the causal character is undefined.  Point k is
+    taken from a k-point plan, because a Halton point depends on the plan
+    length: the first probe is then the point of a one-point plan,
+    whatever PROBE_POINTS is."""
+    seed = resolve_seed()
+    for k in range(1, PROBE_POINTS + 1):
         try:
-            return classify.classify(spec, p)
+            return classify.classify(spec, sample_box(spec.box, k, seed)[-1])
         except VanishingGradient:
-            pass
-    return classify.classify(spec, pts[-1])
+            if k == PROBE_POINTS:
+                raise
 
 
 def _entry_specs(args):

@@ -133,10 +133,8 @@ class Frame:
     def _compute(self):
         spec, n, m = self.spec, self.n, self.m
         pts = self.pts
-        # Each stage is carried only to the highest derivative order a
-        # later stage reads from it: g at order 3, g^-1, dg, Gamma and h at
-        # order 2, dGamma, dh and the curvature at order 1, Hes_h as
-        # values.  Truncating a jet to order k is the slice [..., :N_k].
+        # one context per truncation order, stages as in the module
+        # docstring; truncating a jet to order k is the slice [..., :N_k]
         c3 = self.ctx
         c2, c1, c0 = (J.jet_context(n, k) for k in (2, 1, 0))
         N2, N1 = c2.N, c1.N

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from wefe import cli
+from wefe import catalog, cli
+from wefe.sampling import resolve_seed, sample_box
 
 GOOD_MANIFEST = """\
 id: toy-flat
@@ -199,6 +200,18 @@ def test_verify_probe_skips_critical_point_of_density(tmp_path):
     assert cls["type"] == "I.a"
     assert cls["causal_character"] == "timelike"
     assert item["mismatches"] == []
+
+
+def test_probe_keeps_first_plan_point(tmp_path):
+    # where grad h does not vanish there, reports keep the one-point
+    # plan's point, so they stay byte-stable
+    out = tmp_path / "c.json"
+    assert run(["classify", "--entry", "ex52-liegroup",
+                "--out", str(out)]) == 0
+    spec = catalog.build("ex52-liegroup")
+    want = sample_box(spec.box, 1, resolve_seed())[0]
+    got = json.loads(out.read_text())["report"]["point"]
+    assert got == pytest.approx(want, rel=1e-11, abs=1e-12)
 
 
 def test_classify_non_numeric_point():
