@@ -130,9 +130,19 @@ def entry_ids():
 
 
 def get_entry(entry_id):
-    for e in list_entries():
-        if e.entry_id == entry_id:
-            return e
+    """One built-in entry, parsed from its own ``<id>.manifest`` file
+    only.  The id is matched against the directory listing, never joined
+    into a path."""
+    name = f"{entry_id}.manifest"
+    for item in _manifest_dir().iterdir():
+        if item.name == name:
+            entry = parse_manifest(item.read_text(encoding="utf-8"),
+                                   source=item.name)
+            if entry.entry_id != entry_id:
+                raise ManifestError(
+                    f"{item.name}: id {entry.entry_id!r} does not match "
+                    f"the file name")
+            return entry
     raise ManifestError(f"no catalog entry {entry_id!r}")
 
 

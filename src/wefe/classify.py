@@ -17,6 +17,7 @@ import numpy as np
 
 from . import jets as J
 from . import tensor as T
+from .constants import CAUSAL_DEADBAND, GRAD_ZERO_TOL
 from .errors import (IllConditioned, NotGeodesic, NotLightlike,
                      VanishingGradient)
 
@@ -116,11 +117,11 @@ def jordan_type(matrix, tol=DEFAULT_TOL):
 def causal_character(spec, p):
     """Tag of grad h by the sign of g(grad h, grad h), with the value."""
     fr = T.frame_at(spec, np.asarray(p, dtype=float)[None, :])
-    if np.linalg.norm(fr.dh[0]) < 1e-10:
+    if np.linalg.norm(fr.dh[0]) < GRAD_ZERO_TOL:
         raise VanishingGradient(
             f"{spec.name}: grad h vanishes at the sample point")
     v = float(fr.gradh_sq[0])
-    if abs(v) < 1e-10:
+    if abs(v) < CAUSAL_DEADBAND:
         return "lightlike", v
     return ("spacelike" if v > 0.0 else "timelike"), v
 
@@ -154,7 +155,7 @@ def optical_scalars(spec, V, p, tol=1e-8):
     v0 = vJ[:, 0]                                   # V^k values
     gJ = np.array([[J.eval_jets(spec.g[i][j], pts, ctx)[0]
                     for j in range(n)] for i in range(n)])
-    wJ = ctx.mul(gJ, vJ[None]).sum(axis=1)          # V_j jets
+    wJ = ctx.contract(gJ[:, :, None], vJ[:, None])[:, 0]  # V_j jets
     w0 = wJ[:, 0]
 
     vv = float(np.dot(w0, v0))

@@ -388,10 +388,8 @@ def _interreduce(basis):
     # drop redundant leading terms, then fully reduce tails
     basis = sorted(basis, key=lambda g: grlex_key(g.leading()[0]))
     kept = []
-    for i, g in enumerate(basis):
+    for g in basis:
         lm = g.leading()[0]
-        others = [h.leading()[0] for j, h in enumerate(basis) if j != i
-                  and (j > i or basis[j] in kept)]
         if any(all(lm[k] >= om[k] for k in range(NVARS)) for om in
                (h.leading()[0] for h in kept)):
             continue

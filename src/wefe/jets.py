@@ -15,6 +15,15 @@ degree <= order, Taylor-normalized (the coefficient of ``alpha`` is
 jet is a prefix of a higher-order one.  The batched engine works on numpy
 arrays whose last axis runs over the multi-indices, so evaluating a
 component at 100 sample points costs about the same as at one.
+
+Products have two kernels.  :meth:`JetContext.mul` multiplies jets
+elementwise (expression evaluation, composition).
+:meth:`JetContext.contract` multiplies and sums over one shared tensor
+index in a single step: the jet-matrix product of Griewank & Walther,
+*Evaluating Derivatives*, ch. 13.  It gathers the index pairs of both
+operands, sums over the shared index with one stacked matmul, and
+scatters the pairs into the result, so the unsummed product over every
+index is never stored.
 """
 
 from __future__ import annotations
@@ -340,6 +349,25 @@ class JetContext:
         a, b = np.broadcast_arrays(a, b)
         prod = a[..., self._ti] * b[..., self._tj]
         return prod @ self._scatter
+
+    def contract(self, a, b):
+        """Jet product summed over one shared index: ``a`` has shape
+        (*A, s, m, N), ``b`` has shape (s, *B, m, N), and the result, of
+        shape (*A, *B, m, N), is sum_s a[..., s, :, :] * b[s, ...].
+
+        The index pairs are gathered once per operand, the sum over s is
+        one stacked matmul over the (point, pair) batch, and the pairs are
+        scattered into N by the matmul :meth:`mul` uses, so the
+        (*A, s, *B, m, P) product is never formed."""
+        lead_a, lead_b = a.shape[:-3], b.shape[1:-2]
+        s, m, N = b.shape[0], a.shape[-2], self.N
+        na, nb = math.prod(lead_a), math.prod(lead_b)
+        at = np.moveaxis(a.reshape(na, s, m, N), (2, 3), (0, 1))
+        bt = np.moveaxis(b.reshape(s, nb, m, N), (2, 3), (0, 1))
+        prod = at[:, self._ti] @ bt[:, self._tj]         # (m, P, na, nb)
+        out = self._scatter.T @ prod.reshape(m, -1, na * nb)  # (m, N, na*nb)
+        return np.moveaxis(out, (0, 1), (-2, -1)).reshape(
+            lead_a + lead_b + (m, N))
 
     def deriv(self, a, axis):
         """Jet of the partial derivative along ``axis``.  Coefficients of

@@ -11,7 +11,10 @@ later stage reads:
     Hes_h                             values only
 
 so third metric derivatives (needed by the covariant derivative of the
-Schouten tensor) still come out of the one evaluation of g.  The public
+Schouten tensor) still come out of the one evaluation of g.  Every index
+contraction between jets (both Newton steps of g^-1, the Christoffel
+raise, Riemann, Ricci, tau and the Hessian correction) is one call of
+:meth:`wefe.jets.JetContext.contract`.  The public
 single-point operations are thin wrappers returning :class:`TensorValue`
 records.
 
@@ -182,8 +185,7 @@ class Frame:
         for i in range(n):
             eye[i, i, :, 0] = 1.0
         for _ in range(2):
-            AX = _jmm(c2, g2, X)
-            X = _jmm(c2, X, 2.0 * eye - AX)
+            X = c2.contract(X, 2.0 * eye - c2.contract(g2, X))
         ginvJ = X
         self.ginv0 = ginv0
 
@@ -196,37 +198,34 @@ class Frame:
         lowJ = 0.5 * (np.transpose(dgJ, (2, 0, 1, 3, 4))
                       + np.transpose(dgJ, (2, 1, 0, 3, 4))
                       - dgJ)  # low[k, i, j] = G_kij
-        upJ = c2.mul(ginvJ[:, :, None, None], lowJ[None]).sum(axis=1)
+        upJ = c2.contract(ginvJ, lowJ)  # up[k, i, j] = Gamma^k_ij
         self.gamma_low0 = values(lowJ)
         self.gamma0 = values(upJ)     # (m, k, i, j)
         dupJ = np.empty((n,) + upJ.shape[:-1] + (N1,))
         for a in range(n):
             dupJ[a] = c2.deriv(upJ, a)[..., :N1]
         self.dgamma = values(dupJ)    # (m, a, k, i, j)
-        # second derivatives of Gamma from the degree-2 jet slots
-        self.d2gamma = _second_derivs(c2, upJ)  # (m, a, b, k, i, j)
 
-        # curvature R~(i,j,k,l), Christoffel form, as order-1 jets
+        # curvature R~(i,j,k,l) = comp[l, i, j, k], Christoffel form, as
+        # order-1 jets: comp = g.D + T2 - (T2 with i <-> j), where
+        # D[s, i, j, k] = d_i Gamma^s_jk - d_j Gamma^s_ik and
+        # T2[l, i, j, k] = Gamma_lis Gamma^s_jk
         g1, low1, up1 = gJ[..., :N1], lowJ[..., :N1], upJ[..., :N1]
-        rmJ = np.zeros((n, n, n, n, m, N1))
-        for i in range(n):
-            for j in range(i + 1, n):
-                dE = dupJ[i, :, j, :] - dupJ[j, :, i, :]   # (mc, k, m, N)
-                t1 = c1.mul(g1[:, :, None], dE[None]).sum(axis=1)  # (l, k)
-                t2 = c1.mul(low1[:, i, :, None], up1[None, :, j, :]).sum(axis=1)
-                t3 = c1.mul(low1[:, j, :, None], up1[None, :, i, :]).sum(axis=1)
-                comp = t1 + t2 - t3                        # (l, k, m, N)
-                rmJ[i, j] = np.transpose(comp, (1, 0, 2, 3))
-                rmJ[j, i] = -rmJ[i, j]
+        D = np.transpose(dupJ, (1, 0, 2, 3, 4, 5))
+        D = D - np.transpose(D, (0, 2, 1, 3, 4, 5))
+        T2 = c1.contract(low1, up1)
+        comp = c1.contract(g1, D) + T2 - np.transpose(T2, (0, 2, 1, 3, 4, 5))
+        rmJ = np.transpose(comp, (1, 2, 3, 0, 4, 5))
         self.rm_std0 = values(rmJ)               # (m, i, j, k, l)
         self.riemann0 = RIEMANN_SIGN * self.rm_std0
 
-        # Ricci and scalar curvature, order-1 jets
-        ginv1 = ginvJ[..., :N1]
-        ricJ = RICCI_SIGN * c1.mul(
-            ginv1[:, :, None, None],
-            np.transpose(rmJ, (0, 3, 1, 2, 4, 5))).sum(axis=(0, 1))
-        tauJ = c1.mul(ginv1, ricJ).sum(axis=(0, 1))
+        # Ricci and scalar curvature, order-1 jets, each contracting g^-1
+        # over one flattened index pair
+        ginv1 = ginvJ[..., :N1].reshape(n * n, m, N1)
+        ricJ = RICCI_SIGN * c1.contract(
+            ginv1, np.transpose(rmJ, (0, 3, 1, 2, 4, 5)).reshape(
+                (n * n, n, n, m, N1)))
+        tauJ = c1.contract(ginv1, ricJ.reshape(n * n, m, N1))
         self.ric0 = values(ricJ)                 # (m, i, j)
         self.d_ric = derivs1(ricJ)               # (m, a, i, j)
         self.tau0 = values(tauJ)                 # (m,)
@@ -246,7 +245,7 @@ class Frame:
             for j in range(n):
                 hesJ[i, j] = c1.deriv(dhJ[i], j)[..., :c0.N]
         up0, dh0 = upJ[..., :c0.N], dhJ[..., :c0.N]
-        hesJ -= c0.mul(up0, dh0[:, None, None]).sum(axis=0)
+        hesJ -= c0.contract(dh0, up0)
         self.hes0 = values(hesJ)                 # (m, i, j)
         self.lap0 = np.einsum("mij,mij->m", ginv0, self.hes0)
         self.gradh = np.einsum("mij,mj->mi", ginv0, self.dh)
@@ -280,29 +279,6 @@ def _unit(n, i):
     a = [0] * n
     a[i] = 1
     return tuple(a)
-
-
-def _jmm(ctx, A, B):
-    """Jet matrix product: A, B shaped (n, n, m, N)."""
-    return ctx.mul(A[:, :, None], B[None]).sum(axis=1)
-
-
-def _second_derivs(ctx, a):
-    """Degree-2 derivative values of jets (comp..., m, N) as
-    (m, axis_a, axis_b, comp...)."""
-    n = ctx.n
-    lead = a.shape[:-2]
-    m = a.shape[-2]
-    out = np.empty((n, n) + lead + (m,))
-    for i in range(n):
-        for j in range(n):
-            alpha = [0] * n
-            alpha[i] += 1
-            alpha[j] += 1
-            idx = ctx.index_of[tuple(alpha)]
-            fac = ctx.alpha_factorial[idx]
-            out[i, j] = a[..., idx] * fac
-    return np.moveaxis(out, -1, 0)
 
 
 def _cov2(t0, dt, gamma0):
@@ -361,13 +337,6 @@ def metric_at(spec, p):
     g = TensorValue(2, fr.g0[0], p)
     ginv = TensorValue(2, fr.ginv0[0], p)
     return g, ginv, fr
-
-
-def christoffel(spec, p):
-    """Christoffel symbols Gamma^k_ij (index order k, i, j) together
-    with their first and second coordinate derivatives."""
-    fr = _one(spec, p)
-    return fr.gamma0[0], fr.dgamma[0], fr.d2gamma[0]
 
 
 def riemann(spec, p):

@@ -138,3 +138,29 @@ def test_flags_parsed_types():
     assert e.flags["is_solution"] is True
     assert e.flags["locally_conformally_flat"] is False
     assert e.flags["ricci_type"] == "I.a"
+
+
+def test_manifest_file_names_are_ids():
+    # get_entry parses <id>.manifest alone, so each file must carry its id
+    for item in catalog._manifest_dir().iterdir():
+        if item.name.endswith(".manifest"):
+            e = catalog.parse_manifest(item.read_text(encoding="utf-8"))
+            assert item.name == f"{e.entry_id}.manifest"
+            assert catalog.get_entry(e.entry_id).entry_id == e.entry_id
+
+
+@pytest.mark.parametrize("eid", ["../cli", "minkowski.manifest", "",
+                                 "manifests/minkowski"])
+def test_get_entry_rejects_path_like_ids(eid):
+    with pytest.raises(ManifestError):
+        catalog.get_entry(eid)
+
+
+def test_get_entry_rejects_id_differing_from_file_name(tmp_path,
+                                                       monkeypatch):
+    text = (catalog._manifest_dir() / "minkowski.manifest").read_text(
+        encoding="utf-8")
+    (tmp_path / "flat.manifest").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(catalog, "_manifest_dir", lambda: tmp_path)
+    with pytest.raises(ManifestError, match="flat.manifest"):
+        catalog.get_entry("flat")

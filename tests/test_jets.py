@@ -183,3 +183,25 @@ def test_order_zero_context_is_plain_arithmetic():
 def test_jet_context_rejects_bad_order():
     with pytest.raises(ValueError):
         jet_context(2, 4)
+
+
+_LEAD = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), _LEAD, _LEAD,
+       st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_contract_matches_summed_mul(n, k, lead_a, lead_b, s, m, seed):
+    # contract(a, b) is the jet product broadcast over *A and *B and
+    # summed over the shared axis s, without forming that product
+    ctx = jet_context(n, k)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, lead_a + (s, m, ctx.N))
+    b = rng.uniform(-2.0, 2.0, (s,) + lead_b + (m, ctx.N))
+    ones_a, ones_b = (1,) * len(lead_a), (1,) * len(lead_b)
+    want = ctx.mul(a.reshape(lead_a + (s,) + ones_b + (m, ctx.N)),
+                   b.reshape(ones_a + b.shape)).sum(axis=len(lead_a))
+    got = ctx.contract(a, b)
+    assert got.shape == lead_a + lead_b + (m, ctx.N)
+    scale = max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wefe import catalog, tensor
+from wefe import catalog, jets, tensor
 from wefe.errors import DimensionError, SignatureMismatch, SingularMetric
 from wefe.jets import const, coord, exp, parse_sexpr
 from wefe.sampling import sample_box
@@ -49,6 +49,19 @@ def test_riemann_symmetries():
     np.testing.assert_allclose(R, np.transpose(R, (2, 3, 0, 1)), atol=1e-12)
     bianchi = R + np.transpose(R, (1, 2, 0, 3)) + np.transpose(R, (2, 0, 1, 3))
     assert np.abs(bianchi).max() < 1e-12
+
+
+def test_frame_cache_never_returns_a_stale_frame():
+    # the cache is keyed on id(spec), but each cached Frame holds its spec
+    # alive, so a rebuilt spec with the same box cannot reuse a cached id
+    pts = sample_box(catalog.build("ex66-kundt").box, 2, 1)
+    for k in range(3 * tensor._FRAME_CACHE_SIZE):
+        spec = catalog.build("ex66-kundt", C=0.5 + 0.05 * k)
+        fr = frame_at(spec, pts)
+        assert fr.spec is spec
+        np.testing.assert_allclose(
+            fr.g0[:, 2, 2], jets.eval_values(spec.g[2][2], pts), rtol=1e-14)
+        del spec, fr
 
 
 def test_contracted_bianchi():
