@@ -13,7 +13,7 @@ from importlib import resources
 
 from . import jets as J
 from . import tensor as T
-from .errors import ManifestError, ParameterOutOfRange
+from .errors import DomainError, ManifestError, ParameterOutOfRange
 
 _BOOL = {"true": True, "false": False}
 
@@ -37,8 +37,8 @@ class CatalogEntry:
 
 
 def parse_manifest(text, source="<manifest>"):
-    entry = {"params": {}, "flags": {}, "metric": {}, "box": [],
-             "citation": "", "kundt": None}
+    entry = {"params": {}, "flags": {}, "metric": {}, "metric_lines": {},
+             "box": [], "citation": "", "kundt": None}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -48,9 +48,7 @@ def parse_manifest(text, source="<manifest>"):
         key, value = line.split(":", 1)
         key, value = key.strip(), value.strip()
         try:
-            _parse_line(entry, key, value)
-        except ManifestError:
-            raise
+            _parse_line(entry, key, value, lineno)
         except Exception as e:
             raise ManifestError(f"{source}:{lineno}: {e}") from e
     for need in ("id", "dimension", "signature", "coords", "density"):
@@ -61,6 +59,10 @@ def parse_manifest(text, source="<manifest>"):
         raise ManifestError(f"{source}: need {n} box lines")
     if len(entry["coords"]) != n:
         raise ManifestError(f"{source}: need {n} coordinate names")
+    for (i, j), lineno in entry["metric_lines"].items():
+        if i < 0 or j >= n:
+            raise ManifestError(f"{source}:{lineno}: metric {i} {j}: "
+                                f"index outside 0..{n - 1}")
     return CatalogEntry(
         entry_id=entry["id"], dimension=n, signature=entry["signature"],
         coords=tuple(entry["coords"]), citation=entry["citation"],
@@ -69,7 +71,7 @@ def parse_manifest(text, source="<manifest>"):
         density=entry["density"], kundt=entry["kundt"])
 
 
-def _parse_line(entry, key, value):
+def _parse_line(entry, key, value, lineno):
     if key == "id":
         entry["id"] = value
     elif key == "dimension":
@@ -100,7 +102,11 @@ def _parse_line(entry, key, value):
         i, j = int(i), int(j)
         if i > j:
             i, j = j, i
+        if (i, j) in entry["metric_lines"]:
+            raise ManifestError(f"metric {i} {j}: already given on line "
+                                f"{entry['metric_lines'][(i, j)]}")
         entry["metric"][(i, j)] = value
+        entry["metric_lines"][(i, j)] = lineno
     else:
         raise ManifestError(f"unknown key {key!r}")
 
@@ -163,10 +169,16 @@ def build(entry, **overrides):
         raise ParameterOutOfRange(
             f"{entry.entry_id}: unknown parameters {sorted(overrides)}")
     coords = list(entry.coords)
-    g_upper = {}
-    for (i, j), sexpr in entry.metric.items():
-        g_upper[(i, j)] = J.parse_sexpr(sexpr, coords, values)
-    h = J.parse_sexpr(entry.density, coords, values)
+
+    def parse(field, sexpr):
+        try:
+            return J.parse_sexpr(sexpr, coords, values)
+        except (DomainError, ValueError, ZeroDivisionError) as e:
+            raise ManifestError(f"{entry.entry_id}: {field}: {e}") from e
+
+    g_upper = {(i, j): parse(f"metric {i} {j}", sexpr)
+               for (i, j), sexpr in entry.metric.items()}
+    h = parse("density", entry.density)
     flags = dict(entry.flags)
     if entry.kundt is not None:
         flags["kundt_vector"] = entry.kundt

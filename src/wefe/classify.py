@@ -44,9 +44,9 @@ class RicciTypeReport:
         }
 
 
-def ricci_operator(spec, p):
-    """Mixed-index Ricci operator g^{-1} rho as an n x n matrix."""
-    fr = T.frame_at(spec, np.asarray(p, dtype=float)[None, :])
+def ricci_operator(fr):
+    """Mixed-index Ricci operator g^{-1} rho of a one-point Frame as an
+    n x n matrix."""
     return np.einsum("ij,jk->ik", fr.ginv0[0], fr.ric0[0])
 
 
@@ -114,22 +114,26 @@ def jordan_type(matrix, tol=DEFAULT_TOL):
     return tag, eig, degree
 
 
-def causal_character(spec, p):
-    """Tag of grad h by the sign of g(grad h, grad h), with the value."""
-    fr = T.frame_at(spec, np.asarray(p, dtype=float)[None, :])
-    if np.linalg.norm(fr.dh[0]) < GRAD_ZERO_TOL:
+def causal_character(fr):
+    """Tag of grad h at a one-point Frame by the sign of g(grad h, grad h),
+    with the value.  The dead band scales with |dh|^2 max(1, max|g^-1|),
+    so a small but non-null gradient keeps its character."""
+    dh = fr.dh[0]
+    if np.linalg.norm(dh) < GRAD_ZERO_TOL:
         raise VanishingGradient(
-            f"{spec.name}: grad h vanishes at the sample point")
+            f"{fr.spec.name}: grad h vanishes at the sample point")
     v = float(fr.gradh_sq[0])
-    if abs(v) < CAUSAL_DEADBAND:
+    scale = np.dot(dh, dh) * max(1.0, float(np.max(np.abs(fr.ginv0[0]))))
+    if abs(v) < CAUSAL_DEADBAND * scale:
         return "lightlike", v
     return ("spacelike" if v > 0.0 else "timelike"), v
 
 
 def classify(spec, p, tol=DEFAULT_TOL):
     """Full RicciTypeReport at a point."""
-    tag, eig, degree = jordan_type(ricci_operator(spec, p), tol)
-    char, v = causal_character(spec, p)
+    fr = T.frame_at(spec, np.asarray(p, dtype=float)[None, :])
+    tag, eig, degree = jordan_type(ricci_operator(fr), tol)
+    char, v = causal_character(fr)
     return RicciTypeReport(point=np.asarray(p, dtype=float),
                            eigenvalues=eig, type_tag=tag,
                            nilpotency_degree=degree,

@@ -51,8 +51,6 @@ def _emit(report: dict, args) -> None:
             if isinstance(val, dict):
                 for k in sorted(val):
                     walk(f"{prefix}{k}.", val[k])
-            elif isinstance(val, list):
-                lines.append(f"{prefix[:-1]}: {val}")
             else:
                 lines.append(f"{prefix[:-1]}: {val}")
 

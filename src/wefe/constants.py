@@ -27,6 +27,7 @@ RIEMANN_SIGN = -RICCI_SIGN
 # Solution verdict threshold: gh_residual < SOLUTION_TOL * (1 + |h||rho|).
 SOLUTION_TOL = 1e-8
 
-# Gradient-of-density dead bands.
+# Gradient-of-density dead bands; classify.causal_character scales the
+# second by |dh|^2 max(1, max|g^-1|).
 GRAD_ZERO_TOL = 1e-10
 CAUSAL_DEADBAND = 1e-10

@@ -33,11 +33,6 @@ class DimensionError(WefeError):
     """Operation not defined in this dimension."""
 
 
-class NotASolution(WefeError):
-    """An identity that only holds for solutions was requested at a point
-    where the field-equation residual is too large."""
-
-
 class VanishingGradient(WefeError):
     """The density gradient is numerically zero where a direction is needed."""
 

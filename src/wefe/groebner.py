@@ -141,9 +141,6 @@ class Poly:
         _, c = self.leading()
         return self * (1 / c)
 
-    def total_degree(self):
-        return max((sum(m) for m in self.terms), default=-1)
-
     def __str__(self):
         if not self.terms:
             return "0"

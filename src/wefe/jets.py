@@ -142,14 +142,6 @@ def sqrt(e):
     return Expr("sqrt", (_as_expr(e),))
 
 
-def max_coord_index(e):
-    if e.kind == "coord":
-        return e.value
-    if not e.children:
-        return -1
-    return max(max_coord_index(c) for c in e.children)
-
-
 # -- s-expression serialization ---------------------------------------
 
 def default_coord_names(n):
@@ -378,7 +370,7 @@ class JetContext:
         out[..., tgt] = a[..., src] * mult
         return out
 
-    def compose(self, a, derivs, label, path):
+    def compose(self, a, derivs):
         """Univariate composition f(a) from the stack ``derivs`` of
         f(a0), f'(a0), f''(a0), f'''(a0) evaluated at the constant term."""
         d0, d1, d2, d3 = derivs
@@ -398,26 +390,26 @@ class JetContext:
             raise DomainError("division by zero", path)
         inv = 1.0 / a0
         return self.compose(
-            a, (inv, -inv**2, 2.0 * inv**3, -6.0 * inv**4), "recip", path)
+            a, (inv, -inv**2, 2.0 * inv**3, -6.0 * inv**4))
 
     def exp(self, a, path):
         e = np.exp(a[..., 0])
-        return self.compose(a, (e, e, e, e), "exp", path)
+        return self.compose(a, (e, e, e, e))
 
     def log(self, a, path):
         a0 = a[..., 0]
         if np.any(a0 <= 0.0):
             raise DomainError("log of non-positive value", path)
         return self.compose(
-            a, (np.log(a0), 1.0 / a0, -1.0 / a0**2, 2.0 / a0**3), "log", path)
+            a, (np.log(a0), 1.0 / a0, -1.0 / a0**2, 2.0 / a0**3))
 
     def sin(self, a, path):
         s, c = np.sin(a[..., 0]), np.cos(a[..., 0])
-        return self.compose(a, (s, c, -s, -c), "sin", path)
+        return self.compose(a, (s, c, -s, -c))
 
     def cos(self, a, path):
         s, c = np.sin(a[..., 0]), np.cos(a[..., 0])
-        return self.compose(a, (c, -s, -c, s), "cos", path)
+        return self.compose(a, (c, -s, -c, s))
 
     def power(self, a, q, path):
         q = Fraction(q)
@@ -437,7 +429,7 @@ class JetContext:
         d1 = qf * a0 ** (qf - 1)
         d2 = qf * (qf - 1) * a0 ** (qf - 2)
         d3 = qf * (qf - 1) * (qf - 2) * a0 ** (qf - 3)
-        return self.compose(a, (d0, d1, d2, d3), "pow", path)
+        return self.compose(a, (d0, d1, d2, d3))
 
     def sqrt(self, a, path):
         return self.power(a, Fraction(1, 2), path)
@@ -549,70 +541,6 @@ def eval_values(e, pts, path=()):
             raise DomainError("fractional power of non-positive value", path)
         return a ** float(q)
     raise ValueError(f"unknown node kind {k!r}")
-
-
-class Jet3:
-    """Order-3 jet of a scalar expression at a single chart point."""
-
-    __slots__ = ("n", "coeffs", "_ctx")
-
-    def __init__(self, n, coeffs, ctx=None):
-        self.n = n
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self._ctx = ctx or jet_context(n)
-
-    @property
-    def value(self):
-        return float(self.coeffs[0])
-
-    def coefficient(self, alpha):
-        """Taylor coefficient of multi-index ``alpha``."""
-        return float(self.coeffs[self._ctx.index_of[tuple(alpha)]])
-
-    def derivative(self, alpha):
-        """Mixed partial d^alpha f at the base point (coefficient times
-        alpha factorial)."""
-        idx = self._ctx.index_of[tuple(alpha)]
-        return float(self.coeffs[idx] * self._ctx.alpha_factorial[idx])
-
-    def _wrap(self, arr):
-        return Jet3(self.n, arr, self._ctx)
-
-    def __add__(self, other):
-        if isinstance(other, Jet3):
-            return self._wrap(self.coeffs + other.coeffs)
-        return self._wrap(self.coeffs + self._ctx.constant(float(other)))
-
-    def __neg__(self):
-        return self._wrap(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet3) else -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Jet3):
-            return self._wrap(self._ctx.mul(self.coeffs, other.coeffs))
-        return self._wrap(self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet3):
-            return self._wrap(
-                self._ctx.mul(self.coeffs, self._ctx.recip(other.coeffs, ())))
-        return self._wrap(self.coeffs / float(other))
-
-
-def eval_jet(e, p, n):
-    """Order-3 jet of ``e`` at point ``p`` in an ``n``-dimensional chart."""
-    p = np.asarray(p, dtype=float).reshape(-1)
-    if p.shape[0] != n:
-        raise DomainError(f"point has {p.shape[0]} coordinates, chart has {n}")
-    if max_coord_index(e) >= n:
-        raise DomainError("coordinate index outside chart dimension")
-    ctx = jet_context(n)
-    coeffs = eval_jets(e, p[None, :], ctx)[0]
-    return Jet3(n, coeffs, ctx)
 
 
 # -- finite-difference oracle ------------------------------------------

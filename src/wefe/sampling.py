@@ -43,12 +43,12 @@ def halton(npts, dim, seed=None):
     return np.clip(out, 1e-12, 1.0 - 1e-12)
 
 
-def sample_box(box, npts, seed=None, shrink=BOX_SHRINK):
+def sample_box(box, npts, seed=None):
     """Halton points inside ``box`` (list of (lo, hi)), each interval
-    shrunk by ``shrink`` of its width from both ends."""
+    shrunk by ``BOX_SHRINK`` of its width from both ends."""
     box = [(float(lo), float(hi)) for lo, hi in box]
     u = halton(npts, len(box), seed)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     width = hi - lo
-    return lo + width * (shrink + (1.0 - 2.0 * shrink) * u)
+    return lo + width * (BOX_SHRINK + (1.0 - 2.0 * BOX_SHRINK) * u)

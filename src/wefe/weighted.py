@@ -14,6 +14,9 @@ the two forms of the augmented Cotton tensor
 
     D = h dP + i_{grad h} W
     (n-2) D = (n-1) rho ^ dh + g ^ (i_{grad h} rho) - tau g ^ dh.
+
+Each residual is a kernel over a batched :class:`wefe.tensor.Frame`
+(one point or many), and :func:`verify` takes its maximum over the plan.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 
 from . import tensor as T
 from .constants import ATOL, DEFAULT_SAMPLES, RTOL, SOLUTION_TOL
-from .errors import NotASolution
 from .sampling import sample_box
 
 
@@ -34,7 +36,7 @@ def _wedge(t2, om):
             - np.einsum("mxz,my->mxyz", t2, om))
 
 
-# -- batched residual kernels (operate on a Frame) ----------------------
+# -- residual kernels (operate on a Frame) ------------------------------
 
 def gh_batch(fr):
     return (fr.h0[:, None, None] * fr.ric0 - fr.hes0
@@ -75,49 +77,6 @@ def d_form2_batch(fr):
 def codazzi_batch(fr):
     """Antisymmetrized covariant Ricci derivative, (m,n,n,n)."""
     return fr.cov_ric - np.einsum("mabc->mbac", fr.cov_ric)
-
-
-def _is_solution_at(fr):
-    return np.max(np.abs(gh_batch(fr))) < SOLUTION_TOL * solution_scale(fr)
-
-
-# -- single-point operations ---------------------------------------------
-
-def gh_tensor(spec, p):
-    fr = T.frame_at(spec, np.asarray(p, dtype=float)[None, :])
-    return T.TensorValue(2, gh_batch(fr)[0], p)
-
-
-def check_constant_tau(spec, samples=DEFAULT_SAMPLES, seed=None):
-    """Max |grad tau| over the sample plan."""
-    pts = sample_box(spec.box, samples, seed)
-    fr = T.frame_at(spec, pts)
-    return float(np.max(np.abs(fr.d_tau)))
-
-
-def rnf_residual(spec, p):
-    """Pointwise residual of the curvature identity; only claimed for
-    solutions, so the point must satisfy the field equations."""
-    fr = T.frame_at(spec, np.asarray(p, dtype=float)[None, :])
-    tol = SOLUTION_TOL * solution_scale(fr)
-    gh = np.max(np.abs(gh_batch(fr)))
-    if gh > 10.0 * tol:
-        raise NotASolution(
-            f"{spec.name}: field-equation residual {gh:.3e} at point")
-    return T.TensorValue(3, rnf_batch(fr)[0], p)
-
-
-def augmented_cotton(spec, p):
-    fr = T.frame_at(spec, np.asarray(p, dtype=float)[None, :])
-    return T.TensorValue(3, d_form1_batch(fr)[0], p)
-
-
-def augmented_cotton_alt(spec, p):
-    fr = T.frame_at(spec, np.asarray(p, dtype=float)[None, :])
-    if not _is_solution_at(fr):
-        raise NotASolution(
-            f"{spec.name}: alternative form only holds for solutions")
-    return T.TensorValue(3, d_form2_batch(fr)[0], p)
 
 
 # -- report ----------------------------------------------------------------

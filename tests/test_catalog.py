@@ -110,7 +110,40 @@ def test_manifest_rejects_malformed(mangle, frag):
 def test_unbalanced_expression_fails_at_build():
     e = catalog.parse_manifest(
         GOOD.replace("density: (exp x)", "density: (exp x"))
-    with pytest.raises(DomainError):
+    with pytest.raises(ManifestError, match="toy: density") as exc:
+        e.build()
+    assert isinstance(exc.value.__cause__, DomainError)
+
+
+def test_metric_index_outside_dimension_names_line():
+    with pytest.raises(ManifestError, match=r"<manifest>:14: metric 0 7"):
+        catalog.parse_manifest(GOOD + "metric 0 7: 1\n")
+
+
+def test_duplicate_metric_line_names_line():
+    with pytest.raises(ManifestError,
+                       match=r"<manifest>:14: metric 1 1: already given "
+                             r"on line 11"):
+        catalog.parse_manifest(GOOD + "metric 1 1: 2\n")
+
+
+def test_key_error_inside_line_names_source_and_line():
+    text = GOOD.replace("signature: riemannian", "signature: lorentz")
+    with pytest.raises(ManifestError,
+                       match=r"toy\.manifest:3: unknown signature 'lorentz'"):
+        catalog.parse_manifest(text, source="toy.manifest")
+
+
+@pytest.mark.parametrize("field, line, bad", [
+    ("density", "density: (exp x)", "density: (foo x)"),
+    ("metric 1 1", "metric 1 1: 1", "metric 1 1: (foo x)"),
+    ("metric 0 0", "metric 0 0: (add 1 (mul a x x))",
+     "metric 0 0: (pow x abc)"),
+    ("density", "density: (exp x)", "density: (pow x 1/0)"),
+])
+def test_expression_error_names_entry_and_field(field, line, bad):
+    e = catalog.parse_manifest(GOOD.replace(line, bad))
+    with pytest.raises(ManifestError, match=f"toy: {field}: "):
         e.build()
 
 

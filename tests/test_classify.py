@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wefe import catalog, classify, jets
+from wefe import catalog, classify, jets, tensor
 from wefe.errors import (IllConditioned, NotGeodesic, NotLightlike,
                          VanishingGradient)
 
@@ -120,11 +120,22 @@ def test_timelike_character():
     assert rep.gradh_sq < 0.0
 
 
+def test_small_gradient_keeps_its_character():
+    # dh ~ (-1.07e-6, 0, 0, 0): g(grad h, grad h) ~ -1.1e-12 is below the
+    # absolute 1e-10 but far from null relative to |dh|^2
+    spec = catalog.build("cor36-2-tau-pos")
+    p = np.array([-0.27126084, 0.16438255, -0.14722529, -0.54547006])
+    rep = classify.classify(spec, p)
+    assert 0.0 < -rep.gradh_sq < 1e-10
+    assert rep.causal_character == spec.flags["causal_character"] == "timelike"
+
+
 def test_vanishing_gradient_raises():
     # h = A*phi'(t); phi' has a zero at t = 0 for the cos branch
     spec = catalog.build("cor36-1-kneg")
     with pytest.raises(VanishingGradient):
-        classify.causal_character(spec, np.array([0.0, 0.1, 0.2, 0.3]))
+        classify.causal_character(
+            tensor.frame_at(spec, np.array([[0.0, 0.1, 0.2, 0.3]])))
 
 
 def test_report_dict():

@@ -5,9 +5,8 @@ from wefe import catalog, jets, tensor
 from wefe.errors import DimensionError, SignatureMismatch, SingularMetric
 from wefe.jets import const, coord, exp, parse_sexpr
 from wefe.sampling import sample_box
-from wefe.tensor import (frame_at, kulkarni_nomizu, make_spec,
-                         multiply_warped_ricci, ricci, riemann,
-                         scalar_curvature, warped_ricci)
+from wefe.tensor import (Frame, frame_at, kn_product, make_spec,
+                         multiply_warped_ricci, warped_ricci)
 
 
 def round_sphere_spec(r=1.0):
@@ -22,14 +21,16 @@ def test_sphere_scalar_curvature():
     spec = round_sphere_spec(1.0)
     pts = sample_box(spec.box, 10, 0)
     for p in pts:
-        assert scalar_curvature(spec, p) == pytest.approx(6.0, rel=1e-10)
+        assert frame_at(spec, p[None]).tau0[0] == pytest.approx(6.0,
+                                                               rel=1e-10)
 
 
 def test_sphere_einstein():
     spec = round_sphere_spec(2.0)
     p = np.array([0.1, -0.2, 0.3])
-    rho = ricci(spec, p).components
-    g = tensor.metric_at(spec, p)[0].components
+    fr = frame_at(spec, p[None])
+    rho = fr.ric0[0]
+    g = fr.g0[0]
     # rho = (n-1)/r^2 g = 0.5 g
     np.testing.assert_allclose(rho, 0.5 * g, atol=1e-12)
 
@@ -37,13 +38,13 @@ def test_sphere_einstein():
 def test_flat_space_riemann_vanishes():
     spec = catalog.build("minkowski")
     p = np.array([0.3, -0.1, 0.2, 0.4])
-    assert np.abs(riemann(spec, p).components).max() < 1e-14
+    assert np.abs(frame_at(spec, p[None]).riemann0[0]).max() < 1e-14
 
 
 def test_riemann_symmetries():
     spec = catalog.build("ex52-liegroup")
     p = np.array([0.2, -0.3, 0.1, 0.25])
-    R = riemann(spec, p).components
+    R = frame_at(spec, p[None]).riemann0[0]
     np.testing.assert_allclose(R, -np.swapaxes(R, 0, 1), atol=1e-12)
     np.testing.assert_allclose(R, -np.swapaxes(R, 2, 3), atol=1e-12)
     np.testing.assert_allclose(R, np.transpose(R, (2, 3, 0, 1)), atol=1e-12)
@@ -87,7 +88,7 @@ def test_kulkarni_nomizu_symmetries():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(4, 4)); A = A + A.T
     B = rng.normal(size=(4, 4)); B = B + B.T
-    T = kulkarni_nomizu(A, B).components
+    T = kn_product(A[None], B[None])[0]
     np.testing.assert_allclose(T, -np.swapaxes(T, 0, 1), atol=1e-12)
     np.testing.assert_allclose(T, np.transpose(T, (2, 3, 0, 1)),
                                atol=1e-12)
@@ -105,7 +106,7 @@ def test_cotton_equals_div_riemann():
 def test_hessian_of_coordinate_in_flat_space():
     spec = catalog.build("minkowski")
     p = np.array([0.1, 0.2, 0.3, 0.4])
-    hes = tensor.hessian(spec, p).components
+    hes = frame_at(spec, p[None]).hes0[0]
     assert np.abs(hes).max() < 1e-13  # h = 2 + x is affine
 
 
@@ -114,7 +115,7 @@ def test_singular_metric_raises():
     spec = make_spec("sing", 3, g, const(1), [(-0.5, 0.5)] * 3,
                      "riemannian", ("x", "y", "z"))
     with pytest.raises((SingularMetric, SignatureMismatch)):
-        tensor.metric_at(spec, np.array([0.0, 0.0, 0.0]))
+        Frame(spec, np.array([[0.0, 0.0, 0.0]]))
 
 
 def test_signature_mismatch_raises():
@@ -122,7 +123,7 @@ def test_signature_mismatch_raises():
     spec = make_spec("wrong", 3, g, const(1), [(-0.5, 0.5)] * 3,
                      "riemannian", ("t", "x", "y"))
     with pytest.raises(SignatureMismatch):
-        tensor.metric_at(spec, np.zeros(3))
+        Frame(spec, np.zeros((1, 3)))
 
 
 def test_dimension_bounds():
@@ -170,7 +171,7 @@ def test_warped_ricci_matches_full_computation(entry, kappa):
         phi = np.sqrt(phi2)
         # numeric t-derivatives of phi from nearby frames
         specs = [np.concatenate([[p[0] + s * dh], p[1:]]) for s in (-1, 0, 1)]
-        vals = [np.sqrt(tensor.metric_at(spec, q)[0].components[1, 1] / gF[0, 0, 0])
+        vals = [np.sqrt(frame_at(spec, q[None]).g0[0, 1, 1] / gF[0, 0, 0])
                 for q in specs]
         phip = (vals[2] - vals[0]) / (2 * dh)
         phipp = (vals[2] - 2 * vals[1] + vals[0]) / dh ** 2
@@ -191,5 +192,5 @@ def test_multiply_warped_two_fibers():
         (1.0, 0.0, 0.0, np.zeros((1, 1)), np.array([[-1.0]])),
         (f, fp, fpp, np.zeros((2, 2)), np.eye(2)),
     ])
-    full = ricci(spec, p).components
+    full = frame_at(spec, p[None]).ric0[0]
     np.testing.assert_allclose(rho, full, atol=1e-9)
