@@ -37,7 +37,7 @@ class CatalogEntry:
 
 
 def parse_manifest(text, source="<manifest>"):
-    entry = {"params": {}, "flags": {}, "metric": {}, "metric_lines": {},
+    entry = {"params": {}, "flags": {}, "metric": {}, "lines": {},
              "box": [], "citation": "", "kundt": None}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -59,9 +59,10 @@ def parse_manifest(text, source="<manifest>"):
         raise ManifestError(f"{source}: need {n} box lines")
     if len(entry["coords"]) != n:
         raise ManifestError(f"{source}: need {n} coordinate names")
-    for (i, j), lineno in entry["metric_lines"].items():
+    for i, j in entry["metric"]:
         if i < 0 or j >= n:
-            raise ManifestError(f"{source}:{lineno}: metric {i} {j}: "
+            field = f"metric {i} {j}"
+            raise ManifestError(f"{source}:{entry['lines'][field]}: {field}: "
                                 f"index outside 0..{n - 1}")
     return CatalogEntry(
         entry_id=entry["id"], dimension=n, signature=entry["signature"],
@@ -71,44 +72,48 @@ def parse_manifest(text, source="<manifest>"):
         density=entry["density"], kundt=entry["kundt"])
 
 
+_SINGLE_KEYS = ("id", "dimension", "signature", "coords", "citation",
+                "kundt", "density")
+
+
 def _parse_line(entry, key, value, lineno):
-    if key == "id":
-        entry["id"] = value
-    elif key == "dimension":
-        entry["dimension"] = int(value)
-    elif key == "signature":
-        if value not in ("lorentzian", "riemannian"):
-            raise ManifestError(f"unknown signature {value!r}")
-        entry["signature"] = value
-    elif key == "coords":
-        entry["coords"] = value.split()
-    elif key == "citation":
-        entry["citation"] = value
-    elif key == "kundt":
-        entry["kundt"] = value
-    elif key == "param":
-        name, default, lo, hi = value.split()
-        entry["params"][name] = (float(default), float(lo), float(hi))
-    elif key == "box":
+    """Store one line.  Every field but ``box`` may be given once:
+    ``entry["lines"]`` maps each field to its line, so a repeat names
+    both lines."""
+    if key == "box":
         lo, hi = value.split()
         entry["box"].append((float(lo), float(hi)))
+        return
+    if key.startswith("metric"):
+        _, i, j = key.split()
+        i, j = sorted((int(i), int(j)))
+        field = f"metric {i} {j}"
+    elif key in ("param", "flag"):
+        field = f"{key} {value.split()[0]}"
+    elif key in _SINGLE_KEYS:
+        field = key
+    else:
+        raise ManifestError(f"unknown key {key!r}")
+    if field in entry["lines"]:
+        raise ManifestError(f"{field}: already given on line "
+                            f"{entry['lines'][field]}")
+    entry["lines"][field] = lineno
+    if key == "param":
+        name, default, lo, hi = value.split()
+        entry["params"][name] = (float(default), float(lo), float(hi))
     elif key == "flag":
         name, val = value.split(None, 1)
         entry["flags"][name] = _BOOL.get(val.strip().lower(), val.strip())
-    elif key == "density":
-        entry["density"] = value
     elif key.startswith("metric"):
-        _, i, j = key.split()
-        i, j = int(i), int(j)
-        if i > j:
-            i, j = j, i
-        if (i, j) in entry["metric_lines"]:
-            raise ManifestError(f"metric {i} {j}: already given on line "
-                                f"{entry['metric_lines'][(i, j)]}")
         entry["metric"][(i, j)] = value
-        entry["metric_lines"][(i, j)] = lineno
+    elif key == "dimension":
+        entry["dimension"] = int(value)
+    elif key == "coords":
+        entry["coords"] = value.split()
+    elif key == "signature" and value not in ("lorentzian", "riemannian"):
+        raise ManifestError(f"unknown signature {value!r}")
     else:
-        raise ManifestError(f"unknown key {key!r}")
+        entry[key] = value
 
 
 def load_manifest(path):
@@ -169,10 +174,11 @@ def build(entry, **overrides):
         raise ParameterOutOfRange(
             f"{entry.entry_id}: unknown parameters {sorted(overrides)}")
     coords = list(entry.coords)
+    intern = {}  # one table, so equal subtrees across fields are one node
 
     def parse(field, sexpr):
         try:
-            return J.parse_sexpr(sexpr, coords, values)
+            return J.parse_sexpr(sexpr, coords, values, intern)
         except (DomainError, ValueError, ZeroDivisionError) as e:
             raise ManifestError(f"{entry.entry_id}: {field}: {e}") from e
 

@@ -155,10 +155,9 @@ def optical_scalars(spec, V, p, tol=1e-8):
     n, ctx = spec.n, fr.ctx
     pts = p[None, :]
 
-    vJ = np.array([J.eval_jets(_as_expr(c), pts, ctx)[0] for c in V])
+    vJ = J.eval_jets(V, pts, ctx)[:, 0]
     v0 = vJ[:, 0]                                   # V^k values
-    gJ = np.array([[J.eval_jets(spec.g[i][j], pts, ctx)[0]
-                    for j in range(n)] for i in range(n)])
+    gJ = J.eval_jets(spec.g, pts, ctx)[:, :, 0]
     wJ = ctx.contract(gJ[:, :, None], vJ[:, None])[:, 0]  # V_j jets
     w0 = wJ[:, 0]
 
@@ -190,9 +189,3 @@ def optical_scalars(spec, V, p, tol=1e-8):
     sigma2 = float(np.einsum("ij,ij", Bup, sym)) - (n - 2) * theta ** 2
     omega2 = float(np.einsum("ij,ij", Bup, anti))
     return theta, sigma2, omega2
-
-
-def _as_expr(c):
-    if isinstance(c, J.Expr):
-        return c
-    return J.const(c)

@@ -214,10 +214,10 @@ def cmd_ode(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_EVAL
     drift_gamma, drift_kappa = traj.max_drift()
-    dev = max(
-        max(abs(st.h - ode.closed_form(args.branch, params, st.t).h),
-            abs(st.phi - ode.closed_form(args.branch, params, st.t).phi))
-        for st in traj.states)
+    dev = 0.0
+    for st in traj.states:
+        cf = ode.closed_form(args.branch, params, st.t)
+        dev = max(dev, abs(st.h - cf.h), abs(st.phi - cf.phi))
     report = {
         "version": __version__,
         "command": "ode",

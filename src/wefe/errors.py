@@ -8,7 +8,8 @@ class WefeError(Exception):
 class DomainError(WefeError):
     """Evaluation left the domain of an expression (division by zero,
     log/sqrt of a non-positive value).  Carries the path of the offending
-    node inside the expression tree."""
+    node inside the expression tree, after the component indices when an
+    array of expressions was evaluated."""
 
     def __init__(self, message, path=()):
         super().__init__(message)

@@ -2,12 +2,19 @@
 
 An :class:`Expr` is a small immutable tree over chart coordinates built
 from {constants, coordinates, add, mul, div, neg, pow, exp, log, sin,
-cos, sqrt}.  Evaluation produces either plain values or truncated
-Taylor expansions (jets) holding every mixed partial up to a chosen
-total order of at most 3, which is all the curvature machinery ever
-needs.  Each :class:`JetContext` fixes one truncation order, so a stage
-that reads only first derivatives multiplies order-1 jets (9 index
-pairs for n = 4) instead of order-3 ones (165 pairs).
+cos, sqrt}.  :func:`eval_jets` is the one evaluator: it produces
+truncated Taylor expansions (jets) holding every mixed partial up to a
+chosen total order of at most 3, which is all the curvature machinery
+ever needs.  Each :class:`JetContext` fixes one truncation order, so a
+stage that reads only first derivatives multiplies order-1 jets (9 index
+pairs for n = 4) instead of order-3 ones (165 pairs), and plain values
+are the order-0 jets.
+
+The parses of one spec share an intern table, so a conformal or warping
+factor repeated across components is one node, and :func:`eval_jets`
+evaluates a whole component array with each distinct node computed once
+(the shared-node tape of Griewank & Walther, *Evaluating Derivatives*,
+ch. 6).
 
 Jets are stored densely: one coefficient per multi-index of total
 degree <= order, Taylor-normalized (the coefficient of ``alpha`` is
@@ -192,7 +199,7 @@ def _parse_number(tok):
     return int(tok)
 
 
-def parse_sexpr(text, coord_names, params=None):
+def parse_sexpr(text, coord_names, params=None, intern=None):
     """Parse the prefix s-expression form, e.g.
     ``(mul (exp (neg t)) (cos (mul 2 t)))``.
 
@@ -200,16 +207,28 @@ def parse_sexpr(text, coord_names, params=None):
     named constants to values.  ``add``/``mul`` accept two or more
     arguments (folded left), and ``(sub a b)`` is sugar for
     ``(add a (neg b))``.
+
+    ``intern`` is a dict shared by the parses of one spec (without it, a
+    fresh one serves this parse).  Every node is looked up there by its
+    kind, its value (``repr`` tells 1, 1.0 and -0.0 apart) and its
+    already interned children, so structurally equal subtrees come out
+    as one :class:`Expr`, which :func:`eval_jets` then evaluates once.
     """
     toks = _tokenize(text)
     pos = 0
+    table = {} if intern is None else intern
+
+    def node(e):
+        # an Expr compares by identity, so the children tuple matches
+        # only the same interned nodes
+        return table.setdefault((e.kind, repr(e.value), e.children), e)
 
     def parse():
         nonlocal pos
         tok = toks[pos]
         pos += 1
         if tok != "(":
-            return _parse_atom(tok, coord_names, params)
+            return node(_parse_atom(tok, coord_names, params))
         head = toks[pos]
         pos += 1
         args = []
@@ -224,26 +243,26 @@ def parse_sexpr(text, coord_names, params=None):
         if head == "pow":
             if len(args) != 2 or isinstance(args[1], Expr):
                 raise DomainError("pow needs (pow <expr> <rational>)")
-            return Expr("pow", (args[0],), Fraction(args[1]))
+            return node(Expr("pow", (args[0],), Fraction(args[1])))
         if head == "sub":
             if len(args) != 2:
                 raise DomainError("sub needs exactly two arguments")
-            return args[0] - args[1]
+            return node(Expr("add", (args[0], node(-args[1]))))
         if head in ("add", "mul"):
             if len(args) < 2:
                 raise DomainError(f"{head} needs at least two arguments")
             out = args[0]
             for a in args[1:]:
-                out = Expr(head, (out, a))
+                out = node(Expr(head, (out, a)))
             return out
         if head == "div":
             if len(args) != 2:
                 raise DomainError("div needs exactly two arguments")
-            return Expr("div", tuple(args))
+            return node(Expr("div", tuple(args)))
         if head in _UNARY_KINDS:
             if len(args) != 1:
                 raise DomainError(f"{head} needs exactly one argument")
-            return Expr(head, tuple(args))
+            return node(Expr(head, tuple(args)))
         raise DomainError(f"unknown operator {head!r}")
 
     try:
@@ -384,34 +403,34 @@ class JetContext:
         out[..., 0] += d0
         return out
 
-    def recip(self, a, path):
+    def recip(self, a):
         a0 = a[..., 0]
         if np.any(np.abs(a0) <= _EPS_DIV) or not np.all(np.isfinite(a0)):
-            raise DomainError("division by zero", path)
+            raise DomainError("division by zero")
         inv = 1.0 / a0
         return self.compose(
             a, (inv, -inv**2, 2.0 * inv**3, -6.0 * inv**4))
 
-    def exp(self, a, path):
+    def exp(self, a):
         e = np.exp(a[..., 0])
         return self.compose(a, (e, e, e, e))
 
-    def log(self, a, path):
+    def log(self, a):
         a0 = a[..., 0]
         if np.any(a0 <= 0.0):
-            raise DomainError("log of non-positive value", path)
+            raise DomainError("log of non-positive value")
         return self.compose(
             a, (np.log(a0), 1.0 / a0, -1.0 / a0**2, 2.0 / a0**3))
 
-    def sin(self, a, path):
+    def sin(self, a):
         s, c = np.sin(a[..., 0]), np.cos(a[..., 0])
         return self.compose(a, (s, c, -s, -c))
 
-    def cos(self, a, path):
+    def cos(self, a):
         s, c = np.sin(a[..., 0]), np.cos(a[..., 0])
         return self.compose(a, (c, -s, -c, s))
 
-    def power(self, a, q, path):
+    def power(self, a, q):
         q = Fraction(q)
         a0 = a[..., 0]
         if q.denominator == 1:
@@ -421,18 +440,22 @@ class JetContext:
                 for _ in range(k):
                     out = self.mul(out, a)
                 return out
-            return self.recip(self.power(a, -k, path), path)
-        if np.any(a0 <= 0.0):
-            raise DomainError("fractional power of non-positive value", path)
+            return self.recip(self.power(a, -k))
+        # at order 0 a positive power of 0 is 0: only its derivatives
+        # are singular there
+        if np.any(a0 < 0.0) or (np.any(a0 == 0.0) and (self.order or q < 0)):
+            raise DomainError("fractional power of non-positive value")
         qf = float(q)
+        if self.order == 0:
+            return (a0**qf)[..., None]
         d0 = a0**qf
         d1 = qf * a0 ** (qf - 1)
         d2 = qf * (qf - 1) * a0 ** (qf - 2)
         d3 = qf * (qf - 1) * (qf - 2) * a0 ** (qf - 3)
         return self.compose(a, (d0, d1, d2, d3))
 
-    def sqrt(self, a, path):
-        return self.power(a, Fraction(1, 2), path)
+    def sqrt(self, a):
+        return self.power(a, Fraction(1, 2))
 
 
 def _multi_indices(n, deg):
@@ -451,96 +474,58 @@ def _unit(n, i):
 
 # -- evaluation --------------------------------------------------------
 
-def eval_jets(e, pts, ctx, path=()):
-    """Batched jet evaluation: ``pts`` has shape (npts, n); result has
-    shape (npts, N)."""
+def eval_jets(e, pts, ctx):
+    """Batched jet evaluation of one :class:`Expr` or a nested sequence of
+    them (such as ``spec.g``): ``pts`` has shape (m, n) and the result has
+    shape (*shape, m, N).  Each distinct node is evaluated once per call,
+    so a subtree shared by several components costs one evaluation.
+
+    A :class:`DomainError` carries the path of the failing node, the
+    component indices first; the path is assembled only while the error
+    propagates."""
     pts = np.asarray(pts, dtype=float)
+    memo = {}
+
+    def ev(e):
+        out = memo.get(id(e))
+        if out is not None:
+            return out
+        node = isinstance(e, Expr)
+        args = []
+        for i, c in enumerate(e.children if node else e):
+            try:
+                args.append(ev(c))
+            except DomainError as err:
+                err.path = (i,) + err.path
+                raise
+        out = memo[id(e)] = (_eval_node(e, args, pts, ctx) if node
+                             else np.stack(args))
+        return out
+
+    return ev(e)
+
+
+def _eval_node(e, args, pts, ctx):
+    """Jet of node ``e`` from the jets ``args`` of its children."""
     k = e.kind
     if k == "const":
         return ctx.constant(float(e.value), pts.shape[:-1])
     if k == "coord":
         if e.value >= ctx.n:
             raise DomainError(
-                f"coordinate index {e.value} outside chart dimension {ctx.n}",
-                path)
+                f"coordinate index {e.value} outside chart dimension {ctx.n}")
         return ctx.coordinate(e.value, pts[..., e.value])
     if k == "add":
-        return (eval_jets(e.children[0], pts, ctx, path + (0,))
-                + eval_jets(e.children[1], pts, ctx, path + (1,)))
+        return args[0] + args[1]
     if k == "neg":
-        return -eval_jets(e.children[0], pts, ctx, path + (0,))
+        return -args[0]
     if k == "mul":
-        return ctx.mul(eval_jets(e.children[0], pts, ctx, path + (0,)),
-                       eval_jets(e.children[1], pts, ctx, path + (1,)))
+        return ctx.mul(args[0], args[1])
     if k == "div":
-        num = eval_jets(e.children[0], pts, ctx, path + (0,))
-        den = eval_jets(e.children[1], pts, ctx, path + (1,))
-        return ctx.mul(num, ctx.recip(den, path + (1,)))
-    a = eval_jets(e.children[0], pts, ctx, path + (0,))
-    if k == "exp":
-        return ctx.exp(a, path)
-    if k == "log":
-        return ctx.log(a, path)
-    if k == "sin":
-        return ctx.sin(a, path)
-    if k == "cos":
-        return ctx.cos(a, path)
-    if k == "sqrt":
-        return ctx.sqrt(a, path)
+        return ctx.mul(args[0], ctx.recip(args[1]))
     if k == "pow":
-        return ctx.power(a, e.value, path)
-    raise ValueError(f"unknown node kind {k!r}")
-
-
-def eval_values(e, pts, path=()):
-    """Plain (order-0) batched evaluation with the same domain checks."""
-    pts = np.asarray(pts, dtype=float)
-    k = e.kind
-    if k == "const":
-        return np.full(pts.shape[:-1], float(e.value))
-    if k == "coord":
-        return pts[..., e.value].astype(float)
-    if k == "add":
-        return (eval_values(e.children[0], pts, path + (0,))
-                + eval_values(e.children[1], pts, path + (1,)))
-    if k == "neg":
-        return -eval_values(e.children[0], pts, path + (0,))
-    if k == "mul":
-        return (eval_values(e.children[0], pts, path + (0,))
-                * eval_values(e.children[1], pts, path + (1,)))
-    if k == "div":
-        num = eval_values(e.children[0], pts, path + (0,))
-        den = eval_values(e.children[1], pts, path + (1,))
-        if np.any(np.abs(den) <= _EPS_DIV):
-            raise DomainError("division by zero", path + (1,))
-        return num / den
-    a = eval_values(e.children[0], pts, path + (0,))
-    if k == "exp":
-        return np.exp(a)
-    if k == "log":
-        if np.any(a <= 0.0):
-            raise DomainError("log of non-positive value", path)
-        return np.log(a)
-    if k == "sin":
-        return np.sin(a)
-    if k == "cos":
-        return np.cos(a)
-    if k == "sqrt":
-        if np.any(a < 0.0):
-            raise DomainError("sqrt of negative value", path)
-        return np.sqrt(a)
-    if k == "pow":
-        q = Fraction(e.value)
-        if q.denominator == 1 and int(q) >= 0:
-            return a ** int(q)
-        if q.denominator == 1:
-            if np.any(np.abs(a) <= _EPS_DIV):
-                raise DomainError("zero to a negative power", path)
-            return a ** float(q)
-        if np.any(a <= 0.0):
-            raise DomainError("fractional power of non-positive value", path)
-        return a ** float(q)
-    raise ValueError(f"unknown node kind {k!r}")
+        return ctx.power(args[0], e.value)
+    return getattr(ctx, k)(args[0])  # the JetContext method of that name
 
 
 # -- finite-difference oracle ------------------------------------------
@@ -568,8 +553,9 @@ def fd_oracle(e, p, order, direction, step=None):
         raise DomainError("direction multi-index length must match point")
     if sum(direction) != order or not 0 <= order <= MAX_ORDER:
         raise DomainError("direction degree must equal order, 0..3")
+    values = jet_context(p.shape[0], 0)
     if order == 0:
-        return float(eval_values(e, p[None, :])[0])
+        return float(eval_jets(e, p[None, :], values)[0, 0])
 
     axes = [i for i, d in enumerate(direction) if d > 0]
     base = _FD_STEPS[order] if step is None else float(step)
@@ -586,5 +572,5 @@ def fd_oracle(e, p, order, direction, step=None):
             w *= coef / steps[ax] ** direction[ax]
         pts.append(q)
         weights.append(w)
-    vals = eval_values(e, np.array(pts))
+    vals = eval_jets(e, np.array(pts), values)[:, 0]
     return float(np.dot(weights, vals))

@@ -169,8 +169,9 @@ def direct_product_state(eps: float, kappa: float, c1: float, c2: float,
                          t: float, phi: float = 1.0, n: int = 4) -> OdeState:
     """Closed form for the direct-product branch (phi constant).
 
-    h solves h'' + 2 eps kappa / phi^2 h = 0; oscillatory for eps*kappa > 0,
-    exponential for eps*kappa < 0.  The kappa = 0 case is flat and excluded.
+    h solves h'' + (n-2) eps kappa / phi^2 h = 0; oscillatory for
+    eps*kappa > 0, exponential for eps*kappa < 0.  The kappa = 0 case is
+    flat and excluded.
     """
     ek = eps * kappa
     if abs(ek) <= BRANCH_DEADBAND:
@@ -178,7 +179,7 @@ def direct_product_state(eps: float, kappa: float, c1: float, c2: float,
                                   "eps*kappa != 0")
     # scalar curvature of eps dt^2 + phi^2 g^N with constant phi; 6k/phi^2 at n=4
     tau = (n - 1) * (n - 2) * kappa / phi ** 2
-    w = math.sqrt(2.0 * abs(ek)) / phi
+    w = math.sqrt((n - 2) * abs(ek)) / phi
     if ek > 0:
         h = c1 * math.sin(w * t) + c2 * math.cos(w * t)
         hp = w * (c1 * math.cos(w * t) - c2 * math.sin(w * t))

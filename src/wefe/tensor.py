@@ -11,7 +11,10 @@ later stage reads:
     Hes_h                             values only
 
 so third metric derivatives (needed by the covariant derivative of the
-Schouten tensor) still come out of the one evaluation of g.  Every index
+Schouten tensor) still come out of the one evaluation of g.  That is one
+:func:`wefe.jets.eval_jets` call over the whole component array, which
+evaluates each shared node (g_ij = g_ji, a repeated conformal factor)
+once; h is a second call.  Every index
 contraction between jets (both Newton steps of g^-1, the Christoffel
 raise, Riemann, Ricci, tau and the Hessian correction) is one call of
 :meth:`wefe.jets.JetContext.contract`.  There is no single-point API: a
@@ -136,11 +139,8 @@ class Frame:
             d = np.moveaxis(d, -1, 0)     # (m, axis, comp...)
             return d
 
-        # metric jets, order 3
-        gJ = np.empty((n, n, m, c3.N))
-        for i in range(n):
-            for j in range(n):
-                gJ[i, j] = J.eval_jets(spec.g[i][j], pts, c3)
+        # metric jets, order 3, each shared node evaluated once
+        gJ = J.eval_jets(spec.g, pts, c3)
         self.g0 = values(gJ)
 
         det = np.linalg.det(self.g0)

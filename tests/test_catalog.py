@@ -25,7 +25,7 @@ def test_every_entry_builds(eid):
     assert spec.n == len(spec.coords) == len(spec.box)
     # density evaluates at the box centre
     c = np.array([(lo + hi) / 2 for lo, hi in spec.box])
-    v = jets.eval_values(spec.h, c[None, :])
+    v = jets.eval_jets(spec.h, c[None, :], jets.jet_context(spec.n, 0))
     assert np.isfinite(v).all()
 
 
@@ -127,6 +127,30 @@ def test_duplicate_metric_line_names_line():
         catalog.parse_manifest(GOOD + "metric 1 1: 2\n")
 
 
+@pytest.mark.parametrize("extra, field, first", [
+    ("id: toy2", "id", 1),
+    ("dimension: 3", "dimension", 2),
+    ("signature: lorentzian", "signature", 3),
+    ("coords: a b c", "coords", 4),
+    ("citation: other", "citation", 5),
+    ("kundt: x\nkundt: y", "kundt", 14),
+    ("density: (add 2 x)", "density", 13),
+    ("param: a 9.0 0.5 20.0", "param a", 9),
+    ("flag: is_solution true\nflag: is_solution false",
+     "flag is_solution", 14),
+])
+def test_repeated_field_names_both_lines(extra, field, first):
+    later = GOOD.count("\n") + extra.count("\n") + 1
+    with pytest.raises(ManifestError,
+                       match=f"<manifest>:{later}: {field}: already given "
+                             f"on line {first}$"):
+        catalog.parse_manifest(GOOD + extra + "\n")
+    # other names, and box lines, may repeat
+    e = catalog.parse_manifest(GOOD + "param: b 1.0 0.0 2.0\n"
+                               "flag: is_solution true\nflag: lcf false\n")
+    assert set(e.params) == {"a", "b"} and len(e.box) == 3
+
+
 def test_key_error_inside_line_names_source_and_line():
     text = GOOD.replace("signature: riemannian", "signature: lorentz")
     with pytest.raises(ManifestError,
@@ -157,8 +181,8 @@ def test_kundt_vector_exprs():
     spec = catalog.build("thm62-ppwave")
     V = catalog.kundt_vector_exprs(spec)
     assert len(V) == 4
-    vals = [float(jets.eval_values(c, np.zeros((1, 4)))[0]) for c in V]
-    assert vals == [1.0, 0.0, 0.0, 0.0]
+    vals = jets.eval_jets(V, np.zeros((1, 4)), jets.jet_context(4, 0))
+    assert vals[:, 0, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_kundt_vector_absent():

@@ -164,6 +164,19 @@ def test_ode_flat_branch_rejected():
                 "c2=1"]) == 3
 
 
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_ode_direct_branch_in_every_dimension(tmp_path, n, eps):
+    # h'' = -(n-2) eps kappa h / phi^2, so the closed form's frequency
+    # depends on n
+    out = tmp_path / "o.json"
+    assert run(["ode", "--branch", "direct", "--param", f"n={n}",
+                "--param", f"eps={eps}", "--param", "kappa=1", "--param",
+                "c1=0.3", "--param", "c2=1.0", "--span=-0.4:0.4",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["closed_form_deviation"] < 1e-9
+
+
 def test_unknown_subcommand():
     assert run(["frobnicate"]) == 4
 

@@ -1,19 +1,28 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wefe import catalog
 from wefe.errors import DomainError
-from wefe.jets import (Expr, const, coord, cos, exp, eval_jets, eval_values,
-                       fd_oracle, jet_context, log, parse_sexpr, sin, sqrt,
-                       to_sexpr)
+from wefe.jets import (Expr, JetContext, const, coord, cos,
+                       default_coord_names, exp, eval_jets, fd_oracle,
+                       jet_context, log, parse_sexpr, sin, sqrt, to_sexpr)
+from wefe.tensor import Frame
 
 
 def jet_at(e, p, n):
     """Order-3 jet of ``e`` at the single point ``p``, shape (N,)."""
     return eval_jets(e, np.asarray(p, dtype=float)[None], jet_context(n))[0]
+
+
+def values(e, pts):
+    """Order-0 jets of ``e`` at the rows of ``pts``: plain values, (m,)."""
+    pts = np.asarray(pts, dtype=float)
+    return eval_jets(e, pts, jet_context(pts.shape[-1], 0))[..., 0]
 
 
 def derivative(jet, alpha):
@@ -27,19 +36,20 @@ def test_sexpr_roundtrip():
     e = parse_sexpr("(add (mul 2 (sin x)) (pow y 3/2))", ("x", "y"))
     assert parse_sexpr(to_sexpr(e, ("x", "y")), ("x", "y")) is not None
     p = np.array([[0.3, 1.7]])
-    v1 = eval_values(e, p)
-    v2 = eval_values(parse_sexpr(to_sexpr(e, ("x", "y")), ("x", "y")), p)
+    v1 = values(e, p)
+    v2 = values(parse_sexpr(to_sexpr(e, ("x", "y")), ("x", "y")), p)
     assert v1 == pytest.approx(v2, rel=1e-15)
+    assert v1[0] == pytest.approx(2 * np.sin(0.3) + 1.7 ** 1.5, rel=1e-15)
 
 
 def test_parse_params():
     e = parse_sexpr("(mul c (exp t))", ("t",), params={"c": 2.5})
-    assert eval_values(e, np.array([[0.0]]))[0] == pytest.approx(2.5)
+    assert values(e, [[0.0]])[0] == pytest.approx(2.5)
 
 
 def test_parse_sub_sugar():
     e = parse_sexpr("(sub x y)", ("x", "y"))
-    assert eval_values(e, np.array([[3.0, 1.0]]))[0] == pytest.approx(2.0)
+    assert values(e, [[3.0, 1.0]])[0] == pytest.approx(2.0)
 
 
 def test_parse_rejects_garbage():
@@ -58,13 +68,13 @@ def test_pow_requires_rational():
 def test_domain_error_log():
     e = log(coord(0))
     with pytest.raises(DomainError):
-        eval_values(e, np.array([[-1.0]]))
+        values(e, [[-1.0]])
 
 
 def test_domain_error_division():
     e = const(1) / coord(0)
     with pytest.raises(DomainError):
-        eval_values(e, np.array([[0.0]]))
+        values(e, [[0.0]])
 
 
 def test_jet_of_polynomial_is_exact():
@@ -142,7 +152,7 @@ def test_jet_value_matches_plain_eval(u, v):
     e = parse_sexpr("(add (cos x) (mul x (sin y)))", ("x", "y"))
     p = np.array([u, v])
     assert jet_at(e, p, 2)[0] == pytest.approx(
-        eval_values(e, p.reshape(1, 2))[0], rel=1e-13, abs=1e-13)
+        np.cos(u) + u * np.sin(v), rel=1e-13, abs=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
@@ -191,7 +201,7 @@ def test_order_zero_context_is_plain_arithmetic():
     assert ctx.N == 1
     x = ctx.coordinate(0, np.array([0.5, 2.0]))
     np.testing.assert_allclose(ctx.mul(x, x)[..., 0], [0.25, 4.0])
-    np.testing.assert_allclose(ctx.exp(x, ())[..., 0], np.exp([0.5, 2.0]))
+    np.testing.assert_allclose(ctx.exp(x)[..., 0], np.exp([0.5, 2.0]))
     assert not np.any(ctx.deriv(x, 1))
 
 
@@ -220,3 +230,126 @@ def test_contract_matches_summed_mul(n, k, lead_a, lead_b, s, m, seed):
     assert got.shape == lead_a + lead_b + (m, ctx.N)
     scale = max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+# -- the shared-node evaluator ------------------------------------------
+
+SHARED = """\
+id: shared
+dimension: 3
+signature: riemannian
+coords: x y z
+box: -1 1
+box: -1 1
+box: -1 1
+metric 0 0: 2
+metric 0 1: (mul 1/2 (sin x))
+metric 1 1: 2
+metric 2 2: (exp x)
+density: (mul (exp x) (exp x))
+"""
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    method = getattr(JetContext, name)
+
+    def counted(self, *args):
+        calls.append(name)
+        return method(self, *args)
+
+    monkeypatch.setattr(JetContext, name, counted)
+    return calls
+
+
+def test_shared_nodes_are_evaluated_once(monkeypatch):
+    spec = catalog.build(catalog.parse_manifest(SHARED))
+    # one intern table per spec: equal subtrees in and across fields are
+    # one node, and g_01, g_10 are one Expr
+    assert spec.h.children[0] is spec.h.children[1] is spec.g[2][2]
+    assert spec.g[0][1] is spec.g[1][0]
+    pts = np.array([[0.3, -0.2, 0.5], [-0.7, 0.1, 0.0]])
+    exps = _count_calls(monkeypatch, "exp")
+    sins = _count_calls(monkeypatch, "sin")
+    hJ = eval_jets(spec.h, pts, jet_context(3, 2))
+    assert len(exps) == 1
+    np.testing.assert_allclose(hJ[:, 0], np.exp(2.0 * pts[:, 0]), rtol=1e-15)
+    # the Frame evaluates g in one call and h in another
+    exps.clear()
+    fr = Frame(spec, pts)
+    assert (len(exps), len(sins)) == (2, 1)
+    np.testing.assert_allclose(fr.g0[:, 0, 1], 0.5 * np.sin(pts[:, 0]),
+                               rtol=1e-15)
+    np.testing.assert_array_equal(fr.g0[:, 0, 1], fr.g0[:, 1, 0])
+
+
+def test_eval_jets_of_nested_sequence_and_error_path():
+    x, y = coord(0), coord(1)
+    ctx = jet_context(2)
+    pts = np.array([[0.5, 2.0], [1.5, 3.0], [2.5, 1.0]])
+    arr = eval_jets([[x, y * y], [exp(x), const(1)]], pts, ctx)
+    assert arr.shape == (2, 2, 3, ctx.N)
+    np.testing.assert_array_equal(arr[1, 0], eval_jets(exp(x), pts, ctx))
+    # the component indices come first, then the node path
+    bad = [const(1), x + log(y - 2)]
+    with pytest.raises(DomainError,
+                       match=r"non-positive value \(node path 1/1\)"):
+        eval_jets(bad, pts, ctx)
+
+
+def test_order_zero_allows_positive_fractional_power_of_zero():
+    e = parse_sexpr("(add (sqrt x) (pow x 3/2))", ("x",))
+    assert values(e, [[0.0], [4.0]]).tolist() == [0.0, 10.0]
+    with pytest.raises(DomainError, match="fractional power"):
+        jet_at(e, [0.0], 1)
+    with pytest.raises(DomainError, match="fractional power"):
+        values(parse_sexpr("(pow x -1/2)", ("x",)), [[0.0]])
+
+
+def _unshared(e):
+    """A node-for-node copy of ``e`` that shares no node."""
+    return Expr(e.kind, [_unshared(c) for c in e.children], e.value)
+
+
+def _pairs(sub):
+    return st.tuples(sub, sub)
+
+
+def _tree_cases(n):
+    """(n, tree, point): trees from constructors defined on all of R^n,
+    so every point is inside the domain."""
+    leaves = st.one_of(st.integers(0, n - 1).map(coord),
+                       st.floats(-1.5, 1.5).map(const))
+
+    def extend(sub):
+        return st.one_of(
+            _pairs(sub).map(lambda ab: ab[0] + ab[1]),
+            _pairs(sub).map(lambda ab: ab[0] * ab[1]),
+            _pairs(sub).map(lambda ab: ab[0] / (2 + sin(ab[1]))),
+            sub.map(lambda a: -a), sub.map(sin), sub.map(cos),
+            sub.map(lambda a: exp(sin(a))),
+            sub.map(lambda a: log(2 + cos(a))),
+            sub.map(lambda a: sqrt(1 + a * a)),
+            sub.map(lambda a: (1 + a * a) ** Fraction(-3, 2)))
+
+    point = st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)
+    return st.tuples(st.just(n), st.recursive(leaves, extend, max_leaves=6),
+                     point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6).flatmap(_tree_cases))
+def test_shared_nodes_match_unshared_tree_and_fd_oracle(case):
+    n, tree, p = case
+    e = parse_sexpr(to_sexpr(tree * sin(tree) + tree),
+                    default_coord_names(n))
+    assert e.children[1] is e.children[0].children[0]
+    ctx = jet_context(n, 2)
+    p = np.array(p)
+    jet = eval_jets(e, p[None], ctx)
+    np.testing.assert_array_equal(jet, eval_jets(_unshared(e), p[None], ctx))
+    scale = max(1.0, np.max(np.abs(jet * ctx.alpha_factorial)))
+    for alpha in ctx.multi_indices[1:]:
+        got = derivative(jet[0], alpha)
+        fd = fd_oracle(e, p, sum(alpha), alpha)
+        assert abs(got - fd) <= 1e-5 * scale, (alpha, got, fd)
