@@ -5,8 +5,9 @@ Lorentzian Ricci operators need not diagonalize; the report tags them
 I.a (diagonalizable, real), I.b (a complex-conjugate pair), II (a 2x2
 Jordan block) or III (a 3x3 block).  Numerical Jordan classification is
 ill-posed, so decisions follow an explicit tolerance ladder: eigenvalue
-clusters split at sqrt(tol), matrix ranks use a tol^(1/4) relative
-singular-value cutoff, and clusters closer than 10*sqrt(tol) raise
+clusters split at sqrt(tol), the rank of the k-th power of A - lambda I
+counts singular values above sqrt(tol) scale^k, with scale =
+max(1, max|A|), and clusters closer than 10*sqrt(tol) raise
 IllConditioned instead of guessing."""
 
 from __future__ import annotations
@@ -50,11 +51,8 @@ def ricci_operator(fr):
     return np.einsum("ij,jk->ik", fr.ginv0[0], fr.ric0[0])
 
 
-def _rank(mat, tol):
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol ** 0.25 * s[0]))
+def _rank(mat, cutoff):
+    return int(np.sum(np.linalg.svd(mat, compute_uv=False) > cutoff))
 
 
 def _cluster(vals, gap):
@@ -95,8 +93,13 @@ def jordan_type(matrix, tol=DEFAULT_TOL):
     for c, lam in zip(clusters, means):
         mult = len(c)
         B = A - lam * np.eye(n)
+        # the k-th power of B is measured against sq scale^k, as in the
+        # nilpotency test below, not against its own largest singular
+        # value, so a B^k made only of round-off has rank 0 whatever the
+        # chart.  Round-off stays below 1e-10 scale^k, while a cutoff of
+        # 1e-2 scale^k already misses ex66-kundt's 3x3 block at some points
         k, P = 1, B.copy()
-        while _rank(P, tol) > n - mult and k <= n:
+        while _rank(P, sq * scale ** k) > n - mult and k <= n:
             k += 1
             P = P @ B
         max_block = max(max_block, k)
@@ -152,24 +155,20 @@ def optical_scalars(spec, V, p, tol=1e-8):
     """
     p = np.asarray(p, dtype=float)
     fr = T.frame_at(spec, p[None, :])
-    n, ctx = spec.n, fr.ctx
+    n, ctx = spec.n, J.jet_context(spec.n, 1)
     pts = p[None, :]
 
-    vJ = J.eval_jets(V, pts, ctx)[:, 0]
-    v0 = vJ[:, 0]                                   # V^k values
-    gJ = J.eval_jets(spec.g, pts, ctx)[:, :, 0]
-    wJ = ctx.contract(gJ[:, :, None], vJ[:, None])[:, 0]  # V_j jets
-    w0 = wJ[:, 0]
+    vJ = J.eval_jets(V, pts, ctx)                   # V^k jets
+    wJ = ctx.contract(J.eval_jets(spec.g, pts, ctx), vJ)  # V_j jets
+    v0, w0 = vJ[:, 0, 0], wJ[:, 0, 0]
 
     vv = float(np.dot(w0, v0))
     scale = max(1.0, float(np.max(np.abs(v0))) ** 2)
     if abs(vv) > tol * scale:
         raise NotLightlike(f"g(V,V) = {vv:.3e} at point")
 
-    d1 = [ctx.index_of[tuple(int(i == a) for i in range(n))]
-          for a in range(n)]
-    dv = vJ[:, d1].T                                # dv[i, k] = d_i V^k
-    dw = wJ[:, d1].T                                # dw[i, j] = d_i V_j
+    dv = ctx.grad(vJ)[..., 0, 0]                    # dv[i, k] = d_i V^k
+    dw = ctx.grad(wJ)[..., 0, 0]                    # dw[i, j] = d_i V_j
     gamma = fr.gamma0[0]
 
     acc = np.einsum("i,ij->j", v0, dv) \

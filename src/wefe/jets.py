@@ -321,20 +321,13 @@ class JetContext:
         scatter[np.arange(len(tk)), self._tk] = 1.0
         self._scatter = scatter
 
-        # per-axis derivative maps: out[tgt] = in[src] * mult
-        self._deriv = []
-        for d in range(n):
-            tgt, src, mult = [], [], []
-            for i, a in enumerate(mis):
-                if sum(a) >= order:
-                    continue
-                up = list(a)
-                up[d] += 1
-                tgt.append(i)
-                src.append(self.index_of[tuple(up)])
-                mult.append(float(up[d]))
-            self._deriv.append((np.array(tgt, dtype=int),
-                                np.array(src, dtype=int), np.array(mult)))
+        # first-derivative gather: grad(a)[d, ..., t] = a[..., src] * mult,
+        # t running over the multi-indices of degree < order
+        low = [a for a in mis if sum(a) < order]
+        up = [[self.index_of[_unit(n, d, a)] for a in low] for d in range(n)]
+        self._grad_src = np.array(up, dtype=int).reshape(n, len(low))
+        self._grad_mult = np.array(
+            [[a[d] + 1.0 for a in low] for d in range(n)]).reshape(n, len(low))
 
         self.alpha_factorial = np.array(
             [np.prod([math.factorial(x) for x in a]) for a in mis], dtype=float)
@@ -380,14 +373,12 @@ class JetContext:
         return np.moveaxis(out, (0, 1), (-2, -1)).reshape(
             lead_a + lead_b + (m, N))
 
-    def deriv(self, a, axis):
-        """Jet of the partial derivative along ``axis``.  Coefficients of
-        degree ``order`` in the result are zeroed (unknown), so the result
-        is valid only to order ``order - 1``."""
-        tgt, src, mult = self._deriv[axis]
-        out = np.zeros_like(a)
-        out[..., tgt] = a[..., src] * mult
-        return out
+    def grad(self, a):
+        """Jets of all n first partials of ``a`` (shape (..., N)), with the
+        derivative axis first: shape (n, ..., N'), where N' counts the
+        multi-indices of degree below ``order``, the only coefficients a
+        derivative of an order-``order`` jet knows."""
+        return np.moveaxis(a[..., self._grad_src] * self._grad_mult, -2, 0)
 
     def compose(self, a, derivs):
         """Univariate composition f(a) from the stack ``derivs`` of
@@ -395,11 +386,13 @@ class JetContext:
         d0, d1, d2, d3 = derivs
         delta = a.copy()
         delta[..., 0] = 0.0
-        d2sq = self.mul(delta, delta)
-        d3cu = self.mul(d2sq, delta)
-        out = (d1[..., None] * delta
-               + (d2 / 2.0)[..., None] * d2sq
-               + (d3 / 6.0)[..., None] * d3cu)
+        out = d1[..., None] * delta
+        # delta has no constant term, so delta^k truncates to 0 below order k
+        if self.order >= 2:
+            d2sq = self.mul(delta, delta)
+            out += (d2 / 2.0)[..., None] * d2sq
+        if self.order >= 3:
+            out += (d3 / 6.0)[..., None] * self.mul(d2sq, delta)
         out[..., 0] += d0
         return out
 
@@ -466,9 +459,10 @@ def _multi_indices(n, deg):
         yield tuple(a)
 
 
-def _unit(n, i):
-    a = [0] * n
-    a[i] = 1
+def _unit(n, i, a=None):
+    """The multi-index ``a`` (default 0) plus one in slot ``i``."""
+    a = [0] * n if a is None else list(a)
+    a[i] += 1
     return tuple(a)
 
 

@@ -5,21 +5,24 @@ batched :class:`Frame` computes all curvature data at an array of sample
 points at once, carrying each stage only to the derivative order that a
 later stage reads:
 
-    g                                 order 3
-    g^-1, dg, Gamma, density h        order 2
-    dGamma, R, rho, tau, J, P, dh     order 1
-    Hes_h                             values only
+    g                                           order 3
+    dg, lowered Christoffel Gamma_kij, h        order 2
+    g^-1, Gamma^k_ij, R, rho, tau, J, P, dh     order 1
+    Hes_h                                       values only
 
-so third metric derivatives (needed by the covariant derivative of the
-Schouten tensor) still come out of the one evaluation of g.  That is one
-:func:`wefe.jets.eval_jets` call over the whole component array, which
-evaluates each shared node (g_ij = g_ji, a repeated conformal factor)
-once; h is a second call.  Every index
-contraction between jets (both Newton steps of g^-1, the Christoffel
+Riemann reads the derivatives of the lowered symbols, which are linear
+in dg and need no contraction, so g^-1 and the raised symbols stop at
+order 1, and third metric derivatives (needed by the covariant
+derivative of the Schouten tensor) still come out of the one evaluation
+of g.  That is one :func:`wefe.jets.eval_jets` call over the whole
+component array, which evaluates each shared node (g_ij = g_ji, a
+repeated conformal factor) once; h is a second call.  Every index
+contraction between jets (the Newton step of g^-1, the Christoffel
 raise, Riemann, Ricci, tau and the Hessian correction) is one call of
-:meth:`wefe.jets.JetContext.contract`.  There is no single-point API: a
-query at one point reads index 0 of a one-point :class:`Frame` from
-:func:`frame_at`.
+:meth:`wefe.jets.JetContext.contract`, and every derivative of a stage
+is one :meth:`wefe.jets.JetContext.grad` gather.  There is no
+single-point API: a query at one point reads index 0 of a one-point
+:class:`Frame` from :func:`frame_at`.
 
 Curvature sign conventions are frozen in :mod:`wefe.constants`: the
 valence-4 curvature is R(X,Y,Z,U) = g((nabla_[X,Y] - [nabla_X,
@@ -103,41 +106,27 @@ class Frame:
     """All curvature data of a spec at an array of points, computed once.
 
     Value arrays carry the point axis first: g0 has shape (m, n, n),
-    d_ric has shape (m, a, i, j) meaning (d_a applied to ricci_ij before
-    the Christoffel correction), cov_ric has the derivative slot first
-    per the (nabla_a T)(b, c) reading."""
+    d_tau has shape (m, a), cov_ric has the derivative slot first per
+    the (nabla_a T)(b, c) reading."""
 
     def __init__(self, spec, pts):
         self.spec = spec
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != spec.n:
             raise DomainError("point dimension does not match chart")
-        self.pts = pts
-        self.m = pts.shape[0]
         self.n = spec.n
-        self.ctx = J.jet_context(spec.n)
-        self._compute()
+        self._compute(pts)
 
-    def _compute(self):
-        spec, n, m = self.spec, self.n, self.m
-        pts = self.pts
+    def _compute(self, pts):
+        spec, n, m = self.spec, self.n, pts.shape[0]
         # one context per truncation order, stages as in the module
         # docstring; truncating a jet to order k is the slice [..., :N_k]
-        c3 = self.ctx
-        c2, c1, c0 = (J.jet_context(n, k) for k in (2, 1, 0))
-        N2, N1 = c2.N, c1.N
-        d1_idx = [c1.index_of[J._unit(n, i)] for i in range(n)]
+        c3, c2, c1, c0 = (J.jet_context(n, k) for k in (3, 2, 1, 0))
+        N1 = c1.N
 
         def values(a):
             """(comp..., m, N) jets -> (m, comp...) values."""
             return np.moveaxis(a[..., 0], -1, 0)
-
-        def derivs1(a):
-            """-> (m, axis, comp...) first-derivative values."""
-            d = a[..., d1_idx]            # (comp..., m, axis)
-            d = np.moveaxis(d, -1, 0)     # (axis, comp..., m)
-            d = np.moveaxis(d, -1, 0)     # (m, axis, comp...)
-            return d
 
         # metric jets, order 3, each shared node evaluated once
         gJ = J.eval_jets(spec.g, pts, c3)
@@ -147,7 +136,6 @@ class Frame:
         if np.any(np.abs(det) < _DET_TOL) or not np.all(np.isfinite(det)):
             raise SingularMetric(
                 f"{spec.name}: |det g| < {_DET_TOL} at a sample point")
-        self.detg = det
         eig = np.linalg.eigvalsh(self.g0)
         neg = np.sum(eig < 0.0, axis=1)
         want = 1 if spec.signature == "lorentzian" else 0
@@ -156,78 +144,53 @@ class Frame:
                 f"{spec.name}: eigenvalue signs do not match "
                 f"{spec.signature} tag")
 
-        # order-2 jet-ring metric inverse by Newton iteration from the
-        # numeric inverse; each step doubles the exact order, so two steps
-        # are exact at truncation order 2 (and would be at 3)
-        g2 = gJ[..., :N2]
+        # order-1 jet-ring metric inverse: one Newton step X(2 - gX) from
+        # the numeric inverse doubles the exact order from 0 to 1
+        g1 = gJ[..., :N1]
         ginv0 = np.linalg.inv(self.g0)
-        X = np.zeros_like(g2)
+        X = np.zeros_like(g1)
         X[..., 0] = np.moveaxis(ginv0, 0, -1)
-        eye = np.zeros_like(g2)
-        for i in range(n):
-            eye[i, i, :, 0] = 1.0
-        for _ in range(2):
-            X = c2.contract(X, 2.0 * eye - c2.contract(g2, X))
-        ginvJ = X
+        ginvJ = 2.0 * X - c1.contract(X, c1.contract(g1, X))
         self.ginv0 = ginv0
 
-        dgJ = np.empty((n, n, n, m, N2))  # [a, i, j] = d_a g_ij, order 2
-        for a in range(n):
-            dgJ[a] = c3.deriv(gJ, a)[..., :N2]
-        self.dg = values(dgJ)
-
-        # Christoffel symbols: lowered and raised, as order-2 jets
+        # Christoffel symbols: lowered, linear in dg, as order-2 jets;
+        # raised as order-1 jets
+        dgJ = c3.grad(gJ)  # [a, i, j] = d_a g_ij
         lowJ = 0.5 * (np.transpose(dgJ, (2, 0, 1, 3, 4))
                       + np.transpose(dgJ, (2, 1, 0, 3, 4))
                       - dgJ)  # low[k, i, j] = G_kij
-        upJ = c2.contract(ginvJ, lowJ)  # up[k, i, j] = Gamma^k_ij
-        self.gamma_low0 = values(lowJ)
+        low1 = lowJ[..., :N1]
+        upJ = c1.contract(ginvJ, low1)  # up[k, i, j] = Gamma^k_ij
         self.gamma0 = values(upJ)     # (m, k, i, j)
-        dupJ = np.empty((n,) + upJ.shape[:-1] + (N1,))
-        for a in range(n):
-            dupJ[a] = c2.deriv(upJ, a)[..., :N1]
-        self.dgamma = values(dupJ)    # (m, a, k, i, j)
 
-        # curvature R~(i,j,k,l) = comp[l, i, j, k], Christoffel form, as
-        # order-1 jets: comp = g.D + T2 - (T2 with i <-> j), where
-        # D[s, i, j, k] = d_i Gamma^s_jk - d_j Gamma^s_ik and
-        # T2[l, i, j, k] = Gamma_lis Gamma^s_jk
-        g1, low1, up1 = gJ[..., :N1], lowJ[..., :N1], upJ[..., :N1]
-        D = np.transpose(dupJ, (1, 0, 2, 3, 4, 5))
-        D = D - np.transpose(D, (0, 2, 1, 3, 4, 5))
-        T2 = c1.contract(low1, up1)
-        comp = c1.contract(g1, D) + T2 - np.transpose(T2, (0, 2, 1, 3, 4, 5))
+        # curvature R~(i,j,k,l) = comp[l, i, j, k] from the lowered
+        # symbols, as order-1 jets: comp = D - (D with i <-> j), where
+        # D[l, i, j, k] = d_i G_ljk - G_sil Gamma^s_jk
+        D = (np.transpose(c2.grad(lowJ), (1, 0, 2, 3, 4, 5))
+             - c1.contract(np.transpose(low1, (2, 1, 0, 3, 4)), upJ))
+        comp = D - np.transpose(D, (0, 2, 1, 3, 4, 5))
         rmJ = np.transpose(comp, (1, 2, 3, 0, 4, 5))
-        self.rm_std0 = values(rmJ)               # (m, i, j, k, l)
-        self.riemann0 = RIEMANN_SIGN * self.rm_std0
+        self.riemann0 = RIEMANN_SIGN * values(rmJ)   # (m, i, j, k, l)
 
         # Ricci and scalar curvature, order-1 jets, each contracting g^-1
         # over one flattened index pair
-        ginv1 = ginvJ[..., :N1].reshape(n * n, m, N1)
+        ginv1 = ginvJ.reshape(n * n, m, N1)
         ricJ = RICCI_SIGN * c1.contract(
             ginv1, np.transpose(rmJ, (0, 3, 1, 2, 4, 5)).reshape(
                 (n * n, n, n, m, N1)))
         tauJ = c1.contract(ginv1, ricJ.reshape(n * n, m, N1))
         self.ric0 = values(ricJ)                 # (m, i, j)
-        self.d_ric = derivs1(ricJ)               # (m, a, i, j)
         self.tau0 = values(tauJ)                 # (m,)
-        self.d_tau = derivs1(tauJ)               # (m, a)
+        self.d_tau = values(c1.grad(tauJ))       # (m, a)
 
         # density: h at order 2, dh at order 1, the Hessian as values
         hJ = J.eval_jets(spec.h, pts, c2)
         if np.any(hJ[..., 0] <= 0.0):
             raise DomainError(f"{spec.name}: density not positive on box")
         self.h0 = values(hJ)
-        dhJ = np.empty((n, m, N1))
-        for a in range(n):
-            dhJ[a] = c2.deriv(hJ, a)[..., :N1]
+        dhJ = c2.grad(hJ)
         self.dh = values(dhJ)                    # (m, a)
-        hesJ = np.empty((n, n, m, c0.N))
-        for i in range(n):
-            for j in range(n):
-                hesJ[i, j] = c1.deriv(dhJ[i], j)[..., :c0.N]
-        up0, dh0 = upJ[..., :c0.N], dhJ[..., :c0.N]
-        hesJ -= c0.contract(dh0, up0)
+        hesJ = c1.grad(dhJ) - c0.contract(dhJ[..., :c0.N], upJ[..., :c0.N])
         self.hes0 = values(hesJ)                 # (m, i, j)
         self.lap0 = np.einsum("mij,mij->m", ginv0, self.hes0)
         self.gradh = np.einsum("mij,mj->mi", ginv0, self.dh)
@@ -237,22 +200,18 @@ class Frame:
         nn = float(n)
         jJ = tauJ / (2.0 * (nn - 1.0))           # scalar J jets
         pJ = (ricJ - c1.mul(jJ[None, None], g1)) / (nn - 2.0)
-        self.schouten0 = values(pJ)
+        p0 = values(pJ)
         self.scalar_j0 = values(jJ)
-        self.cov_schouten = _cov2(values(pJ), derivs1(pJ), self.gamma0)
-        self.cov_ric = _cov2(self.ric0, self.d_ric, self.gamma0)
+        cp = _cov2(p0, values(c1.grad(pJ)), self.gamma0)  # (m, a, b, c)
+        self.cov_ric = _cov2(self.ric0, values(c1.grad(ricJ)), self.gamma0)
 
         # Cotton tensor dP(X,Y,Z), stored [x, y, z]
-        cp = self.cov_schouten                   # (m, a, b, c)
         self.cotton0 = (nn - 2.0) * (np.einsum("myxz->mxyz", cp)
                                      - np.einsum("mzxy->mxyz", cp))
-        cr = self.cov_ric
-        self.div_riemann0 = (np.einsum("myxz->mxyz", cr)
-                             - np.einsum("mzxy->mxyz", cr))
 
         # Weyl
         if n >= 4:
-            self.weyl0 = self.riemann0 - kn_product(self.schouten0, self.g0)
+            self.weyl0 = self.riemann0 - kn_product(p0, self.g0)
         else:
             self.weyl0 = None
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wefe import catalog, classify, jets, tensor
+from wefe import catalog, classify, cli, jets, tensor, weighted
 from wefe.errors import (IllConditioned, NotGeodesic, NotLightlike,
                          VanishingGradient)
 
@@ -62,6 +62,13 @@ def test_jordan_two_step_nilpotent():
     assert deg == 2
 
 
+def test_jordan_round_off_has_rank_zero():
+    # a matrix made only of round-off is the zero matrix, not a 4x4 block
+    A = 1e-17 * np.random.default_rng(0).normal(size=(4, 4))
+    tag, _, deg = classify.jordan_type(A)
+    assert (tag, deg) == ("I.a", 1)
+
+
 def test_jordan_ill_conditioned_gap():
     # clusters separated by less than 10*sqrt(tol): refuse to decide
     with pytest.raises(IllConditioned):
@@ -107,10 +114,14 @@ def test_thm62_type_ii():
 
 def test_ex66_type_iii():
     spec = catalog.build("ex66-kundt")
-    rep = classify.classify(spec, np.array([0.3, 0.2, 0.9, 0.4]))
-    assert rep.type_tag == "III"
-    assert rep.nilpotency_degree == 3
-    assert rep.causal_character == "lightlike"
+    # at the second point B^2 is 0.009 max|A|^2, which a rank cutoff of
+    # tol^(1/4) max|A|^2 would count as 0
+    for p in ([0.3, 0.2, 0.9, 0.4],
+              [0.82843383, 0.87346359, 0.60174078, 0.21565493]):
+        rep = classify.classify(spec, np.array(p))
+        assert rep.type_tag == "III"
+        assert rep.nilpotency_degree == 3
+        assert rep.causal_character == "lightlike"
 
 
 def test_timelike_character():
@@ -144,6 +155,80 @@ def test_report_dict():
     assert d["type"] == "II"
     assert d["causal_character"] == "lightlike"
     assert all(len(pair) == 2 for pair in d["eigenvalues"])
+
+
+# ------------------------------------------------- chart independence oracle
+
+def _pullback(e, x, memo):
+    """``e`` with each coordinate node i replaced by the Expr ``x[i]``."""
+    out = memo.get(id(e))
+    if out is None:
+        if e.kind == "coord":
+            out = x[e.value]
+        elif e.children:
+            out = jets.Expr(e.kind, [_pullback(c, x, memo)
+                                     for c in e.children], e.value)
+        else:
+            out = e
+        memo[id(e)] = out
+    return out
+
+
+def _combine(coefs, exprs):
+    """sum_k coefs[k] * exprs[k] as an Expr, skipping zero terms."""
+    terms = [e if c == 1.0 else float(c) * e
+             for c, e in zip(coefs, exprs) if c != 0.0]
+    return sum(terms[1:], terms[0]) if terms else jets.const(0)
+
+
+def _affine_pullback(spec, A, b, y0):
+    """``spec`` in the chart x = A y + b around y0: every coordinate node
+    substituted, and g pulled back to A^T g A."""
+    n = spec.n
+    y = [jets.coord(j) for j in range(n)]
+    x = [_combine(list(A[i]) + [b[i]], y + [jets.const(1)])
+         for i in range(n)]
+    memo = {}
+    g = [_pullback(spec.g[i][j], x, memo) for i in range(n) for j in range(n)]
+    gy = {(k, l): _combine(np.outer(A[:, k], A[:, l]).ravel(), g)
+          for k in range(n) for l in range(k, n)}
+    return tensor.make_spec(spec.name, n, gy, _pullback(spec.h, x, memo),
+                            [(c - 0.1, c + 0.1) for c in y0],
+                            spec.signature)
+
+
+def _charts(n, rng):
+    """A permutation, diagonal scales with sign flips and a near-identity
+    general linear map, each with a shift."""
+    perm = np.eye(n)[rng.permutation(n)]
+    flip = np.diag(rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n))
+    general = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+    return [(A, 0.1 * rng.normal(size=n)) for A in (perm, flip, general)]
+
+
+@pytest.mark.parametrize("index,entry", list(enumerate(
+    e.entry_id for e in catalog.list_entries())))
+def test_ricci_type_is_chart_independent(index, entry):
+    # metamorphic oracle: the Jordan type of g^-1 rho, its nilpotency
+    # degree and the causal character of grad h are invariants, so every
+    # affine chart must report what the manifest's chart reports
+    spec = catalog.build(entry)
+    want = cli._classify_at_probe(spec)
+    p = want.point
+    fr = tensor.frame_at(spec, p[None])
+    for A, b in _charts(spec.n, np.random.default_rng([11, index])):
+        y0 = np.linalg.solve(A, p - b)
+        pulled = _affine_pullback(spec, A, b, y0)
+        got = classify.classify(pulled, y0)
+        assert ((got.type_tag, got.nilpotency_degree, got.causal_character)
+                == (want.type_tag, want.nilpotency_degree,
+                    want.causal_character)), A
+        # rho and G^h are tensors: in the new chart T becomes A^T T A
+        fy = tensor.frame_at(pulled, y0[None])
+        for got_t, want_t in ((fy.ric0, fr.ric0), (weighted.gh_batch(fy),
+                                                   weighted.gh_batch(fr))):
+            np.testing.assert_allclose(got_t[0], A.T @ want_t[0] @ A,
+                                       atol=1e-9 * weighted.solution_scale(fr))
 
 
 # ------------------------------------------------------------ optical scalars

@@ -136,14 +136,16 @@ def test_jets_vs_finite_differences(order):
 
 
 def test_third_order_slot_dropped_by_derivative():
-    # d/dx of an order-3 jet is only valid to order 2
+    # d/dx of an order-3 jet is only valid to order 2, so grad keeps only
+    # the order-2 coefficients
     x = coord(0)
     e = exp(x)
     ctx = jet_context(1)
     j = jet_at(e, [0.2], 1)
-    dj = ctx.deriv(j.reshape(1, -1), 0)[0]
-    k = ctx.index_of[(3,)]
-    assert dj[k] == 0.0
+    dj = ctx.grad(j.reshape(1, -1))
+    assert dj.shape == (1, 1, jet_context(1, 2).N)
+    # d/dx e^x = e^x, coefficient by coefficient
+    np.testing.assert_allclose(dj[0, 0], j[:3], rtol=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
@@ -189,11 +191,9 @@ def test_truncation_commutes_with_ring_ops(n, k, seed):
                                full.mul(a, b)[..., :low.N],
                                rtol=1e-13, atol=1e-13)
     below = jet_context(n, k - 1).N if k else 0
-    for axis in range(n):
-        np.testing.assert_array_equal(
-            low.deriv(a[..., :low.N], axis)[..., :below],
-            full.deriv(a, axis)[..., :below])
-        assert not np.any(low.deriv(a[..., :low.N], axis)[..., below:])
+    grad = low.grad(a[..., :low.N])
+    assert grad.shape == (n, 3, below)
+    np.testing.assert_array_equal(grad, full.grad(a)[..., :below])
 
 
 def test_order_zero_context_is_plain_arithmetic():
@@ -202,7 +202,42 @@ def test_order_zero_context_is_plain_arithmetic():
     x = ctx.coordinate(0, np.array([0.5, 2.0]))
     np.testing.assert_allclose(ctx.mul(x, x)[..., 0], [0.25, 4.0])
     np.testing.assert_allclose(ctx.exp(x)[..., 0], np.exp([0.5, 2.0]))
-    assert not np.any(ctx.deriv(x, 1))
+    assert ctx.grad(x).shape == (2, 2, 0)
+
+
+def test_grad_is_the_derivative_of_every_coefficient():
+    # the coefficient of alpha in d_i f is (alpha_i + 1) times the
+    # coefficient of alpha + e_i in f
+    ctx = jet_context(3)
+    a = np.random.default_rng(5).uniform(-1.0, 1.0, (2, ctx.N))
+    grad = ctx.grad(a)
+    for i in range(3):
+        for t, alpha in enumerate(jet_context(3, 2).multi_indices):
+            up = tuple(x + (d == i) for d, x in enumerate(alpha))
+            np.testing.assert_array_equal(
+                grad[i, :, t], (alpha[i] + 1) * a[:, ctx.index_of[up]])
+
+
+def test_compose_skips_products_that_truncate_to_zero(monkeypatch):
+    # delta has no constant term, so delta^2 and delta^3 vanish below
+    # orders 2 and 3: compose forms them only where they survive, and
+    # its jets equal the sum of all three terms
+    mul = JetContext.mul
+    calls = _count_calls(monkeypatch, "mul")
+    for k, want in enumerate((0, 0, 1, 2)):
+        ctx = jet_context(2, k)
+        a = ctx.coordinate(0, [0.3, -0.7]) - ctx.coordinate(1, [1.1, 0.2])
+        calls.clear()
+        got = ctx.exp(a)
+        assert len(calls) == want
+        e = np.exp(a[..., 0])
+        delta = a.copy()
+        delta[..., 0] = 0.0
+        d2sq = mul(ctx, delta, delta)
+        ref = (e[..., None] * delta + (e / 2.0)[..., None] * d2sq
+               + (e / 6.0)[..., None] * mul(ctx, d2sq, delta))
+        ref[..., 0] += e
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_jet_context_rejects_bad_order():
