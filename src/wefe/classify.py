@@ -133,8 +133,8 @@ def causal_character(fr):
 
 
 def classify(spec, p, tol=DEFAULT_TOL):
-    """Full RicciTypeReport at a point."""
-    fr = T.frame_at(spec, np.asarray(p, dtype=float)[None, :])
+    """Full RicciTypeReport at a point, from an order-0 Frame."""
+    fr = T.frame_at(spec, np.asarray(p, dtype=float)[None, :], 0)
     tag, eig, degree = jordan_type(ricci_operator(fr), tol)
     char, v = causal_character(fr)
     return RicciTypeReport(point=np.asarray(p, dtype=float),
@@ -154,7 +154,7 @@ def optical_scalars(spec, V, p, tol=1e-8):
     ``V`` must be lightlike at ``p`` and geodesic up to reparametrization.
     """
     p = np.asarray(p, dtype=float)
-    fr = T.frame_at(spec, p[None, :])
+    fr = T.frame_at(spec, p[None, :], 0)
     n, ctx = spec.n, J.jet_context(spec.n, 1)
     pts = p[None, :]
 

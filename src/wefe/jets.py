@@ -477,26 +477,28 @@ def eval_jets(e, pts, ctx):
     A :class:`DomainError` carries the path of the failing node, the
     component indices first; the path is assembled only while the error
     propagates."""
-    pts = np.asarray(pts, dtype=float)
-    memo = {}
+    return _ev(e, np.asarray(pts, dtype=float), ctx, {})
 
-    def ev(e):
-        out = memo.get(id(e))
-        if out is not None:
-            return out
-        node = isinstance(e, Expr)
-        args = []
-        for i, c in enumerate(e.children if node else e):
-            try:
-                args.append(ev(c))
-            except DomainError as err:
-                err.path = (i,) + err.path
-                raise
-        out = memo[id(e)] = (_eval_node(e, args, pts, ctx) if node
-                             else np.stack(args))
+
+def _ev(e, pts, ctx, memo):
+    """Jet of ``e``, memoized by node identity in ``memo``.  A module-level
+    function rather than a closure over ``memo``: a closure that calls
+    itself is a reference cycle, which would keep every node jet of the
+    call alive until the cyclic garbage collector runs."""
+    out = memo.get(id(e))
+    if out is not None:
         return out
-
-    return ev(e)
+    node = isinstance(e, Expr)
+    args = []
+    for i, c in enumerate(e.children if node else e):
+        try:
+            args.append(_ev(c, pts, ctx, memo))
+        except DomainError as err:
+            err.path = (i,) + err.path
+            raise
+    out = memo[id(e)] = (_eval_node(e, args, pts, ctx) if node
+                         else np.stack(args))
+    return out
 
 
 def _eval_node(e, args, pts, ctx):

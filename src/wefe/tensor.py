@@ -3,16 +3,19 @@
 Everything is driven by Taylor jets of the metric components.  The
 batched :class:`Frame` computes all curvature data at an array of sample
 points at once, carrying each stage only to the derivative order that a
-later stage reads:
+later stage reads.  The jet order k of the curvature stage is the
+Frame's ``order``:
 
-    g                                           order 3
-    dg, lowered Christoffel Gamma_kij, h        order 2
-    g^-1, Gamma^k_ij, R, rho, tau, J, P, dh     order 1
-    Hes_h                                       values only
+    g                                           order k + 2
+    dg, lowered Christoffel Gamma_kij, h        order k + 1
+    g^-1, Gamma^k_ij, R, rho, tau, dh           order k
+    J, P                                        order 1, k = 1 only
+    Hes_h, d tau, nabla rho, Cotton, Weyl       values, k = 1 only
 
+Verification reads k = 1, the Ricci-type classification k = 0.
 Riemann reads the derivatives of the lowered symbols, which are linear
 in dg and need no contraction, so g^-1 and the raised symbols stop at
-order 1, and third metric derivatives (needed by the covariant
+order k, and at k = 1 third metric derivatives (needed by the covariant
 derivative of the Schouten tensor) still come out of the one evaluation
 of g.  That is one :func:`wefe.jets.eval_jets` call over the whole
 component array, which evaluates each shared node (g_ij = g_ji, a
@@ -105,31 +108,36 @@ def make_spec(name, n, g_upper, h, box, signature="lorentzian",
 class Frame:
     """All curvature data of a spec at an array of points, computed once.
 
+    ``order`` is the jet order k of the curvature stage (see the module
+    docstring).  Order 0 holds g0, ginv0, gamma0, riemann0, ric0, tau0,
+    h0, dh, gradh and gradh_sq; order 1 adds d_tau, hes0, lap0,
+    scalar_j0, cov_ric, cotton0 and weyl0.
+
     Value arrays carry the point axis first: g0 has shape (m, n, n),
     d_tau has shape (m, a), cov_ric has the derivative slot first per
     the (nabla_a T)(b, c) reading."""
 
-    def __init__(self, spec, pts):
+    def __init__(self, spec, pts, order=1):
         self.spec = spec
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != spec.n:
             raise DomainError("point dimension does not match chart")
         self.n = spec.n
-        self._compute(pts)
+        self._compute(pts, order)
 
-    def _compute(self, pts):
+    def _compute(self, pts, k):
         spec, n, m = self.spec, self.n, pts.shape[0]
         # one context per truncation order, stages as in the module
         # docstring; truncating a jet to order k is the slice [..., :N_k]
-        c3, c2, c1, c0 = (J.jet_context(n, k) for k in (3, 2, 1, 0))
-        N1 = c1.N
+        ck2, ck1, ck = (J.jet_context(n, k + d) for d in (2, 1, 0))
+        Nk = ck.N
 
         def values(a):
             """(comp..., m, N) jets -> (m, comp...) values."""
             return np.moveaxis(a[..., 0], -1, 0)
 
-        # metric jets, order 3, each shared node evaluated once
-        gJ = J.eval_jets(spec.g, pts, c3)
+        # metric jets, order k + 2, each shared node evaluated once
+        gJ = J.eval_jets(spec.g, pts, ck2)
         self.g0 = values(gJ)
 
         det = np.linalg.det(self.g0)
@@ -144,66 +152,76 @@ class Frame:
                 f"{spec.name}: eigenvalue signs do not match "
                 f"{spec.signature} tag")
 
-        # order-1 jet-ring metric inverse: one Newton step X(2 - gX) from
-        # the numeric inverse doubles the exact order from 0 to 1
-        g1 = gJ[..., :N1]
+        # order-k jet-ring metric inverse: one Newton step X(2 - gX) from
+        # the numeric inverse doubles the exact order from 0 to 1.  It is
+        # taken at order 0 too, so every order-0 field is bit-identical
+        # to the order-1 one
+        gk = gJ[..., :Nk]
         ginv0 = np.linalg.inv(self.g0)
-        X = np.zeros_like(g1)
+        X = np.zeros_like(gk)
         X[..., 0] = np.moveaxis(ginv0, 0, -1)
-        ginvJ = 2.0 * X - c1.contract(X, c1.contract(g1, X))
+        ginvJ = 2.0 * X - ck.contract(X, ck.contract(gk, X))
         self.ginv0 = ginv0
 
-        # Christoffel symbols: lowered, linear in dg, as order-2 jets;
-        # raised as order-1 jets
-        dgJ = c3.grad(gJ)  # [a, i, j] = d_a g_ij
+        # Christoffel symbols: lowered, linear in dg, as order-(k + 1)
+        # jets; raised as order-k jets
+        dgJ = ck2.grad(gJ)  # [a, i, j] = d_a g_ij
         lowJ = 0.5 * (np.transpose(dgJ, (2, 0, 1, 3, 4))
                       + np.transpose(dgJ, (2, 1, 0, 3, 4))
                       - dgJ)  # low[k, i, j] = G_kij
-        low1 = lowJ[..., :N1]
-        upJ = c1.contract(ginvJ, low1)  # up[k, i, j] = Gamma^k_ij
+        lowk = lowJ[..., :Nk]
+        upJ = ck.contract(ginvJ, lowk)  # up[k, i, j] = Gamma^k_ij
         self.gamma0 = values(upJ)     # (m, k, i, j)
 
         # curvature R~(i,j,k,l) = comp[l, i, j, k] from the lowered
-        # symbols, as order-1 jets: comp = D - (D with i <-> j), where
+        # symbols, as order-k jets: comp = D - (D with i <-> j), where
         # D[l, i, j, k] = d_i G_ljk - G_sil Gamma^s_jk
-        D = (np.transpose(c2.grad(lowJ), (1, 0, 2, 3, 4, 5))
-             - c1.contract(np.transpose(low1, (2, 1, 0, 3, 4)), upJ))
+        D = (np.transpose(ck1.grad(lowJ), (1, 0, 2, 3, 4, 5))
+             - ck.contract(np.transpose(lowk, (2, 1, 0, 3, 4)), upJ))
         comp = D - np.transpose(D, (0, 2, 1, 3, 4, 5))
         rmJ = np.transpose(comp, (1, 2, 3, 0, 4, 5))
         self.riemann0 = RIEMANN_SIGN * values(rmJ)   # (m, i, j, k, l)
 
-        # Ricci and scalar curvature, order-1 jets, each contracting g^-1
+        # Ricci and scalar curvature, order-k jets, each contracting g^-1
         # over one flattened index pair
-        ginv1 = ginvJ.reshape(n * n, m, N1)
-        ricJ = RICCI_SIGN * c1.contract(
-            ginv1, np.transpose(rmJ, (0, 3, 1, 2, 4, 5)).reshape(
-                (n * n, n, n, m, N1)))
-        tauJ = c1.contract(ginv1, ricJ.reshape(n * n, m, N1))
+        ginvk = ginvJ.reshape(n * n, m, Nk)
+        ricJ = RICCI_SIGN * ck.contract(
+            ginvk, np.transpose(rmJ, (0, 3, 1, 2, 4, 5)).reshape(
+                (n * n, n, n, m, Nk)))
+        tauJ = ck.contract(ginvk, ricJ.reshape(n * n, m, Nk))
         self.ric0 = values(ricJ)                 # (m, i, j)
         self.tau0 = values(tauJ)                 # (m,)
-        self.d_tau = values(c1.grad(tauJ))       # (m, a)
 
-        # density: h at order 2, dh at order 1, the Hessian as values
-        hJ = J.eval_jets(spec.h, pts, c2)
+        # density: h at order k + 1, dh at order k
+        hJ = J.eval_jets(spec.h, pts, ck1)
         if np.any(hJ[..., 0] <= 0.0):
             raise DomainError(f"{spec.name}: density not positive on box")
         self.h0 = values(hJ)
-        dhJ = c2.grad(hJ)
+        dhJ = ck1.grad(hJ)
         self.dh = values(dhJ)                    # (m, a)
-        hesJ = c1.grad(dhJ) - c0.contract(dhJ[..., :c0.N], upJ[..., :c0.N])
-        self.hes0 = values(hesJ)                 # (m, i, j)
-        self.lap0 = np.einsum("mij,mij->m", ginv0, self.hes0)
         self.gradh = np.einsum("mij,mj->mi", ginv0, self.dh)
         self.gradh_sq = np.einsum("mi,mi->m", self.dh, self.gradh)
+        if k == 0:
+            return
+
+        # the first derivatives of the order-1 stage: d tau, the Hessian
+        # as values
+        c0 = J.jet_context(n, 0)
+        self.d_tau = values(ck.grad(tauJ))       # (m, a)
+        hesJ = (ck.grad(dhJ)
+                - c0.contract(dhJ[..., :c0.N], upJ[..., :c0.N]))
+        self.hes0 = values(hesJ)                 # (m, i, j)
+        self.lap0 = np.einsum("mij,mij->m", ginv0, self.hes0)
 
         # Schouten tensor jets and its covariant derivative values
         nn = float(n)
         jJ = tauJ / (2.0 * (nn - 1.0))           # scalar J jets
-        pJ = (ricJ - c1.mul(jJ[None, None], g1)) / (nn - 2.0)
+        pJ = (ricJ - ck.mul(jJ[None, None], gk)) / (nn - 2.0)
         p0 = values(pJ)
         self.scalar_j0 = values(jJ)
-        cp = _cov2(p0, values(c1.grad(pJ)), self.gamma0)  # (m, a, b, c)
-        self.cov_ric = _cov2(self.ric0, values(c1.grad(ricJ)), self.gamma0)
+        cp = _cov2(p0, values(ck.grad(pJ)), self.gamma0)  # (m, a, b, c)
+        self.cov_ric = _cov2(self.ric0, values(ck.grad(ricJ)),
+                             self.gamma0)
 
         # Cotton tensor dP(X,Y,Z), stored [x, y, z]
         self.cotton0 = (nn - 2.0) * (np.einsum("myxz->mxyz", cp)
@@ -240,14 +258,15 @@ def kn_product(A, B):
 _frame_cache = {}
 
 
-def frame_at(spec, pts):
-    """Batched frame, cached on (spec identity, points)."""
+def frame_at(spec, pts, order=1):
+    """Batched frame of the given order, cached on (spec identity, order,
+    points)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    key = (id(spec), pts.tobytes())
+    key = (id(spec), order, pts.tobytes())
     hit = _frame_cache.get(key)
     if hit is not None:
         return hit
-    fr = Frame(spec, pts)
+    fr = Frame(spec, pts, order)
     if len(_frame_cache) >= _FRAME_CACHE_SIZE:
         _frame_cache.pop(next(iter(_frame_cache)))
     _frame_cache[key] = fr

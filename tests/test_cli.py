@@ -247,3 +247,22 @@ def test_ode_early_termination_exit_2(tmp_path):
                 "--param", "kappa=1", "--param", "c1=1", "--param",
                 "c2=0.1", "--span=0:3", "--out", str(out)]) == 2
     assert json.loads(out.read_text())["terminated_early"] is True
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path):
+    assert run(["classify", "--entry", "minkowski",
+                "--entry", "ex52-liegroup"]) == 4
+    assert run(["classify", "--entry", "minkowski"]) == 0
+    out = tmp_path / "v.json"
+    assert run(["verify", "--entry", "minkowski", "--samples", "7"]) == 0
+    assert run(["verify", "--entry", "minkowski", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["entries"]["minkowski"][
+        "points"] == 100
+    assert run(["classify", "--entry", "ex52-liegroup",
+                "--point", "0.1,0.2"]) == 4
+    assert run(["classify", "--entry", "ex52-liegroup",
+                "--point", "0.1,-0.2,0.3,0.25"]) == 0

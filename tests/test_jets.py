@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from wefe.errors import DomainError
 from wefe.jets import (Expr, JetContext, const, coord, cos,
                        default_coord_names, exp, eval_jets, fd_oracle,
                        jet_context, log, parse_sexpr, sin, sqrt, to_sexpr)
+from wefe.sampling import sample_box
 from wefe.tensor import Frame
 
 
@@ -330,6 +332,24 @@ def test_eval_jets_of_nested_sequence_and_error_path():
     with pytest.raises(DomainError,
                        match=r"non-positive value \(node path 1/1\)"):
         eval_jets(bad, pts, ctx)
+
+
+@pytest.mark.parametrize("entry", ["ex66-kundt", "cor36-2-tau-pos",
+                                   "minkowski"])
+def test_evaluator_memo_is_freed_at_return(entry):
+    # the node memo holds every node jet of a call; a reference cycle
+    # through it would keep them alive until the cyclic collector runs
+    spec = catalog.build(entry)
+    pts = sample_box(spec.box, 100, 0)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        Frame(spec, pts)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_order_zero_allows_positive_fractional_power_of_zero():

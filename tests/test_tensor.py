@@ -72,6 +72,30 @@ def test_frame_cache_never_returns_a_stale_frame():
         del spec, fr
 
 
+ORDER0_FIELDS = ("g0", "ginv0", "gamma0", "riemann0", "ric0", "tau0", "h0",
+                 "dh", "gradh", "gradh_sq")
+
+
+@pytest.mark.parametrize(
+    "entry", [e.entry_id for e in catalog.list_entries()])
+def test_order0_frame_equals_order1_fields(entry):
+    # the order-0 Frame that classify reads is the order-1 one without
+    # its derivative stage, to the last bit
+    spec = catalog.build(entry)
+    pts = sample_box(spec.box, 20, 0)
+    f0, f1 = Frame(spec, pts, 0), Frame(spec, pts)
+    for name in ORDER0_FIELDS:
+        assert np.array_equal(getattr(f0, name), getattr(f1, name)), name
+    assert not hasattr(f0, "cotton0")
+
+
+def test_frame_cache_keys_on_order():
+    spec = catalog.build("ex66-kundt")
+    p = sample_box(spec.box, 1, 5)
+    assert not hasattr(frame_at(spec, p, 0), "cotton0")
+    assert frame_at(spec, p).cotton0.shape == (1, 4, 4, 4)
+
+
 def test_contracted_bianchi():
     spec = catalog.build("ex66-kundt")
     pts = sample_box(spec.box, 5, 1)
