@@ -94,6 +94,10 @@ def _entry_specs(args):
 def cmd_verify(args) -> int:
     atol = args.tol_atol if args.tol_atol is not None else constants.ATOL
     rtol = args.tol_rtol if args.tol_rtol is not None else constants.RTOL
+    if args.samples < 1:
+        sys.stderr.write(f"error: --samples must be at least 1, "
+                         f"got {args.samples}\n")
+        return EXIT_BAD_INPUT
     entries = _entry_specs(args)
     report = {"version": __version__, "command": "verify", "entries": {}}
     status = EXIT_OK
@@ -144,6 +148,10 @@ def cmd_classify(args) -> int:
             return EXIT_BAD_INPUT
         if p.shape != (spec.n,):
             sys.stderr.write(f"error: point needs {spec.n} coordinates\n")
+            return EXIT_BAD_INPUT
+        if not np.all(np.isfinite(p)):
+            sys.stderr.write(f"error: bad --point {args.point!r}, "
+                             f"coordinates must be finite\n")
             return EXIT_BAD_INPUT
     try:
         crep = (_classify_at_probe(spec) if p is None

@@ -27,10 +27,13 @@ Products have two kernels.  :meth:`JetContext.mul` multiplies jets
 elementwise (expression evaluation, composition).
 :meth:`JetContext.contract` multiplies and sums over one shared tensor
 index in a single step: the jet-matrix product of Griewank & Walther,
-*Evaluating Derivatives*, ch. 13.  It gathers the index pairs of both
-operands, sums over the shared index with one stacked matmul, and
-scatters the pairs into the result, so the unsummed product over every
-index is never stored.
+*Evaluating Derivatives*, ch. 13, so the unsummed product over every
+index is never stored.  Up to order 1, the orders the curvature stages
+use, a jet product is a0 b in every coefficient plus a_d b0 in the
+degree-1 ones, so the contraction is two stacked matmuls over the point
+and coefficient axes.  At orders 2 and 3 it gathers the index pairs of
+both operands, sums over the shared index with one stacked matmul, and
+scatters the pairs into the result.
 """
 
 from __future__ import annotations
@@ -359,18 +362,26 @@ class JetContext:
         (*A, s, m, N), ``b`` has shape (s, *B, m, N), and the result, of
         shape (*A, *B, m, N), is sum_s a[..., s, :, :] * b[s, ...].
 
-        The index pairs are gathered once per operand, the sum over s is
-        one stacked matmul over the (point, pair) batch, and the pairs are
-        scattered into N by the matmul :meth:`mul` uses, so the
-        (*A, s, *B, m, P) product is never formed."""
+        Up to order 1 the sum over s is two stacked matmuls over the
+        (point, coefficient) batch.  Above, the index pairs are gathered
+        once per operand, the sum over s is one stacked matmul over the
+        (point, pair) batch, and the pairs are scattered into N by the
+        matmul :meth:`mul` uses.  Either way the (*A, s, *B, m, P)
+        product is never formed."""
         lead_a, lead_b = a.shape[:-3], b.shape[1:-2]
         s, m, N = b.shape[0], a.shape[-2], self.N
         na, nb = math.prod(lead_a), math.prod(lead_b)
-        at = np.moveaxis(a.reshape(na, s, m, N), (2, 3), (0, 1))
-        bt = np.moveaxis(b.reshape(s, nb, m, N), (2, 3), (0, 1))
-        prod = at[:, self._ti] @ bt[:, self._tj]         # (m, P, na, nb)
-        out = self._scatter.T @ prod.reshape(m, -1, na * nb)  # (m, N, na*nb)
-        return np.moveaxis(out, (0, 1), (-2, -1)).reshape(
+        at = a.reshape(na, s, m, N).transpose(2, 3, 0, 1)   # (m, N, na, s)
+        bt = b.reshape(s, nb, m, N).transpose(2, 3, 0, 1)   # (m, N, s, nb)
+        if self.order <= 1:
+            # a0 b in every coefficient, plus a_d b0 in the degree-1 ones
+            out = at[:, :1] @ bt                            # (m, N, na, nb)
+            if self.order:
+                out[:, 1:] += at[:, 1:] @ bt[:, :1]
+        else:
+            prod = at[:, self._ti] @ bt[:, self._tj]        # (m, P, na, nb)
+            out = self._scatter.T @ prod.reshape(m, -1, na * nb)
+        return out.reshape(m, N, na, nb).transpose(2, 3, 0, 1).reshape(
             lead_a + lead_b + (m, N))
 
     def grad(self, a):
@@ -378,7 +389,9 @@ class JetContext:
         derivative axis first: shape (n, ..., N'), where N' counts the
         multi-indices of degree below ``order``, the only coefficients a
         derivative of an order-``order`` jet knows."""
-        return np.moveaxis(a[..., self._grad_src] * self._grad_mult, -2, 0)
+        d = a.ndim - 1     # the derivative axis of the gathered product
+        return (a[..., self._grad_src] * self._grad_mult).transpose(
+            (d, *range(d), d + 1))
 
     def compose(self, a, derivs):
         """Univariate composition f(a) from the stack ``derivs`` of

@@ -2,11 +2,15 @@
 
 Points come from a scrambled Halton sequence; the scramble permutation
 is seeded either explicitly or from the WEFE_SEED environment variable
-(default 0), so runs are reproducible."""
+(default 0), so runs are reproducible.  A plan depends only on its
+length, dimension and seed, so each one is computed once per process and
+shared read-only: a whole-catalog verify asks for the same plan for every
+entry of one dimension."""
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,10 +26,15 @@ def resolve_seed(seed=None):
 
 
 def halton(npts, dim, seed=None):
-    """Scrambled Halton points in the open unit cube, shape (npts, dim)."""
+    """Scrambled Halton points in the open unit cube, shape (npts, dim),
+    read-only."""
     if dim > len(_PRIMES):
         raise ValueError(f"dimension {dim} exceeds supported maximum")
-    seed = resolve_seed(seed)
+    return _halton(npts, dim, resolve_seed(seed))
+
+
+@lru_cache(maxsize=64)
+def _halton(npts, dim, seed):
     rng = np.random.default_rng(seed)
     out = np.empty((npts, dim))
     for d in range(dim):
@@ -40,7 +49,9 @@ def halton(npts, dim, seed=None):
             f /= b
         out[:, d] = vals
     # scrambling can emit exact 0; fold into the open interval
-    return np.clip(out, 1e-12, 1.0 - 1e-12)
+    out = np.clip(out, 1e-12, 1.0 - 1e-12)
+    out.flags.writeable = False
+    return out
 
 
 def sample_box(box, npts, seed=None):

@@ -8,22 +8,27 @@ Frame's ``order``:
 
     g                                           order k + 2
     dg, lowered Christoffel Gamma_kij, h        order k + 1
-    g^-1, Gamma^k_ij, R, rho, tau, dh           order k
+    g^-1, Gamma^k_ij, rho, tau, dh              order k
+    R                                           values
     J, P                                        order 1, k = 1 only
     Hes_h, d tau, nabla rho, Cotton, Weyl       values, k = 1 only
 
-Verification reads k = 1, the Ricci-type classification k = 0.
-Riemann reads the derivatives of the lowered symbols, which are linear
-in dg and need no contraction, so g^-1 and the raised symbols stop at
-order k, and at k = 1 third metric derivatives (needed by the covariant
+Verification reads k = 1, the Ricci-type classification k = 0.  The
+field equations and the harmonic-curvature checks read rho and its first
+derivatives, never a derivative of R, so R is formed as values from the
+order-0 slices, and rho comes straight from the symbols: its jets are
+g^il (d_i Gamma_ljk - d_j Gamma_lik) plus a quadratic term in the
+symbols.  The derivatives of the lowered symbols are linear in dg and
+need no contraction, so g^-1 and the raised symbols stop at order k,
+and at k = 1 third metric derivatives (needed by the covariant
 derivative of the Schouten tensor) still come out of the one evaluation
 of g.  That is one :func:`wefe.jets.eval_jets` call over the whole
 component array, which evaluates each shared node (g_ij = g_ji, a
 repeated conformal factor) once; h is a second call.  Every index
 contraction between jets (the Newton step of g^-1, the Christoffel
-raise, Riemann, Ricci, tau and the Hessian correction) is one call of
-:meth:`wefe.jets.JetContext.contract`, and every derivative of a stage
-is one :meth:`wefe.jets.JetContext.grad` gather.  There is no
+raise, R, the three terms of rho, tau and the Hessian correction) is
+one call of :meth:`wefe.jets.JetContext.contract`, and every derivative
+of a stage is one :meth:`wefe.jets.JetContext.grad` gather.  There is no
 single-point API: a query at one point reads index 0 of a one-point
 :class:`Frame` from :func:`frame_at`.
 
@@ -130,11 +135,12 @@ class Frame:
         # one context per truncation order, stages as in the module
         # docstring; truncating a jet to order k is the slice [..., :N_k]
         ck2, ck1, ck = (J.jet_context(n, k + d) for d in (2, 1, 0))
-        Nk = ck.N
+        c0, Nk = J.jet_context(n, 0), ck.N
 
         def values(a):
             """(comp..., m, N) jets -> (m, comp...) values."""
-            return np.moveaxis(a[..., 0], -1, 0)
+            v = a[..., 0]
+            return v.transpose(v.ndim - 1, *range(v.ndim - 1))
 
         # metric jets, order k + 2, each shared node evaluated once
         gJ = J.eval_jets(spec.g, pts, ck2)
@@ -159,35 +165,47 @@ class Frame:
         gk = gJ[..., :Nk]
         ginv0 = np.linalg.inv(self.g0)
         X = np.zeros_like(gk)
-        X[..., 0] = np.moveaxis(ginv0, 0, -1)
+        X[..., 0] = ginv0.transpose(1, 2, 0)
         ginvJ = 2.0 * X - ck.contract(X, ck.contract(gk, X))
         self.ginv0 = ginv0
 
         # Christoffel symbols: lowered, linear in dg, as order-(k + 1)
         # jets; raised as order-k jets
         dgJ = ck2.grad(gJ)  # [a, i, j] = d_a g_ij
-        lowJ = 0.5 * (np.transpose(dgJ, (2, 0, 1, 3, 4))
-                      + np.transpose(dgJ, (2, 1, 0, 3, 4))
+        lowJ = 0.5 * (dgJ.transpose(2, 0, 1, 3, 4)
+                      + dgJ.transpose(2, 1, 0, 3, 4)
                       - dgJ)  # low[k, i, j] = G_kij
         lowk = lowJ[..., :Nk]
         upJ = ck.contract(ginvJ, lowk)  # up[k, i, j] = Gamma^k_ij
         self.gamma0 = values(upJ)     # (m, k, i, j)
+        dlow = ck1.grad(lowJ)         # [i, l, j, k] = d_i G_ljk
 
-        # curvature R~(i,j,k,l) = comp[l, i, j, k] from the lowered
-        # symbols, as order-k jets: comp = D - (D with i <-> j), where
+        # curvature R~(i,j,k,l) = comp[l, i, j, k] as values, from the
+        # order-0 slices: comp = D - (D with i <-> j), where
         # D[l, i, j, k] = d_i G_ljk - G_sil Gamma^s_jk
-        D = (np.transpose(ck1.grad(lowJ), (1, 0, 2, 3, 4, 5))
-             - ck.contract(np.transpose(lowk, (2, 1, 0, 3, 4)), upJ))
-        comp = D - np.transpose(D, (0, 2, 1, 3, 4, 5))
-        rmJ = np.transpose(comp, (1, 2, 3, 0, 4, 5))
-        self.riemann0 = RIEMANN_SIGN * values(rmJ)   # (m, i, j, k, l)
+        low0, up0 = lowk[..., :1], upJ[..., :1]
+        D = (dlow[..., :1].transpose(1, 0, 2, 3, 4, 5)
+             - c0.contract(low0.transpose(2, 1, 0, 3, 4), up0))
+        comp = D - D.transpose(0, 2, 1, 3, 4, 5)
+        self.riemann0 = RIEMANN_SIGN * values(
+            comp.transpose(1, 2, 3, 0, 4, 5))    # (m, i, j, k, l)
 
-        # Ricci and scalar curvature, order-k jets, each contracting g^-1
-        # over one flattened index pair
+        # Ricci as order-k jets straight from the symbols, the trace
+        # g^il R~(i, j, k, l):
+        #   ric_jk = g^il (d_i G_ljk - d_j G_lik)
+        #            + (Y[i, s, j] - delta_ij v_s) Gamma^s_ik,
+        # Y[i, s, j] = g^il G_sjl and v_s = Y[i, s, i].  The quadratic
+        # term is one contraction over the flattened pair (i, s)
         ginvk = ginvJ.reshape(n * n, m, Nk)
-        ricJ = RICCI_SIGN * ck.contract(
-            ginvk, np.transpose(rmJ, (0, 3, 1, 2, 4, 5)).reshape(
-                (n * n, n, n, m, Nk)))
+        E = dlow - dlow.transpose(2, 1, 0, 3, 4, 5)
+        Y = ck.contract(ginvJ, lowk.transpose(2, 0, 1, 3, 4))
+        diag = np.arange(n)
+        Y[diag, :, diag] -= np.trace(Y, axis1=0, axis2=2)
+        Yt = Y.transpose(2, 0, 1, 3, 4).reshape(n, n * n, m, Nk)
+        upt = upJ.transpose(1, 0, 2, 3, 4).reshape(n * n, n, m, Nk)
+        ricJ = RICCI_SIGN * (
+            ck.contract(ginvk, E.reshape(n * n, n, n, m, Nk))
+            + ck.contract(Yt, upt))
         tauJ = ck.contract(ginvk, ricJ.reshape(n * n, m, Nk))
         self.ric0 = values(ricJ)                 # (m, i, j)
         self.tau0 = values(tauJ)                 # (m,)
@@ -206,7 +224,6 @@ class Frame:
 
         # the first derivatives of the order-1 stage: d tau, the Hessian
         # as values
-        c0 = J.jet_context(n, 0)
         self.d_tau = values(ck.grad(tauJ))       # (m, a)
         hesJ = (ck.grad(dhJ)
                 - c0.contract(dhJ[..., :c0.N], upJ[..., :c0.N]))

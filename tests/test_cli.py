@@ -266,3 +266,19 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path):
                 "--point", "0.1,0.2"]) == 4
     assert run(["classify", "--entry", "ex52-liegroup",
                 "--point", "0.1,-0.2,0.3,0.25"]) == 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_sample(samples, capsys):
+    assert run(["verify", "--entry", "minkowski",
+                f"--samples={samples}"]) == 4
+    assert "--samples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_classify_rejects_non_finite_point(value, capsys):
+    assert run(["classify", "--entry", "minkowski",
+                f"--point=1,2,3,{value}"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coordinates must be finite" in captured.err

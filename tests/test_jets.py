@@ -269,6 +269,31 @@ def test_contract_matches_summed_mul(n, k, lead_a, lead_b, s, m, seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_contract_takes_transposed_views(n, k):
+    # Frame passes transposed, truncated views of higher-order jets, as in
+    # contract(ginv, low[..., :N].transpose(2, 0, 1, 3, 4)); the result
+    # equals the summed mul of contiguous copies
+    ctx, m = jet_context(n, k), 3
+    rng = np.random.default_rng([n, k])
+    ginv = rng.uniform(-2.0, 2.0, (n, n, m, ctx.N))
+    low = rng.uniform(-2.0, 2.0, (n, n, n, m, jet_context(n, k + 1).N))
+    low = low[..., :ctx.N]
+    for a, b in ((ginv, low.transpose(2, 0, 1, 3, 4)),
+                 (low.transpose(2, 1, 0, 3, 4), ginv.transpose(1, 0, 2, 3))):
+        assert not (a.flags.c_contiguous and b.flags.c_contiguous)
+        ca, cb = np.ascontiguousarray(a), np.ascontiguousarray(b)
+        lead_a, lead_b = ca.shape[:-3], cb.shape[1:-2]
+        want = ctx.mul(ca.reshape(lead_a + (n,) + (1,) * len(lead_b)
+                                  + (m, ctx.N)),
+                       cb).sum(axis=len(lead_a))
+        got = ctx.contract(a, b)
+        assert got.shape == want.shape
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
 # -- the shared-node evaluator ------------------------------------------
 
 SHARED = """\

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wefe import catalog, tensor
+from wefe.constants import RICCI_SIGN, RIEMANN_SIGN
 from wefe.errors import DimensionError, SignatureMismatch, SingularMetric
 from wefe.jets import const, coord, exp, parse_sexpr
 from wefe.sampling import sample_box
@@ -94,6 +95,60 @@ def test_frame_cache_keys_on_order():
     p = sample_box(spec.box, 1, 5)
     assert not hasattr(frame_at(spec, p, 0), "cotton0")
     assert frame_at(spec, p).cotton0.shape == (1, 4, 4, 4)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize(
+    "entry", [e.entry_id for e in catalog.list_entries()])
+def test_ricci_is_the_trace_of_riemann(entry, order):
+    # Ricci comes straight from the Christoffel symbols, Riemann from the
+    # order-0 slices: the metric trace of one must give the other
+    spec = catalog.build(entry)
+    fr = Frame(spec, sample_box(spec.box, 20, 0), order)
+    want = RICCI_SIGN * np.einsum("mil,mijkl->mjk", fr.ginv0,
+                                  RIEMANN_SIGN * fr.riemann0)
+    scale = max(1.0, np.abs(want).max())
+    assert np.abs(fr.ric0 - want).max() <= 1e-12 * scale
+
+
+def bumpy_spec():
+    # every catalog entry has constant tau: this Lorentzian chart metric
+    # has a scalar curvature that varies across its box
+    names = ("t", "x", "y", "z")
+    g = {key: parse_sexpr(text, names) for key, text in {
+        (0, 0): "(neg (add 1 (mul 0.2 (mul x x))))",
+        (0, 1): "(mul 0.1 y)",
+        (1, 1): "(exp (mul 0.3 t))",
+        (2, 2): "(add 1 (mul 0.1 (mul y z)))",
+        (3, 3): "(add 2 (sin x))"}.items()}
+    return make_spec("bumpy", 4, g, parse_sexpr("(add 2 x)", names),
+                     [(-0.5, 0.5)] * 4, "lorentzian", names)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.build("ex66-kundt"),
+    lambda: catalog.build("cor36-2-tau-pos"),
+    bumpy_spec], ids=["ex66-kundt", "cor36-2-tau-pos", "bumpy"])
+def test_first_derivatives_match_central_differences(build):
+    # d tau and d rho (cov_ric plus its two Gamma rho terms) against
+    # central differences of tau0 and ric0 from Frames at p +- h e_a
+    spec = build()
+    pts = sample_box(spec.box, 6, 0)
+    n, m, h = spec.n, len(pts), 1e-4
+    fr = Frame(spec, pts)
+    g, r = fr.gamma0, fr.ric0
+    d_ric = (fr.cov_ric + np.einsum("msab,msc->mabc", g, r)
+             + np.einsum("msac,mbs->mabc", g, r))
+    step = h * np.eye(n)
+    shifted = np.concatenate([pts[:, None] + step, pts[:, None] - step])
+    pm = Frame(spec, shifted.reshape(-1, n), 0)
+    tau_pm, ric_pm = (x.reshape((2, m, n) + x.shape[1:])
+                      for x in (pm.tau0, pm.ric0))
+    fd_tau = (tau_pm[0] - tau_pm[1]) / (2.0 * h)
+    fd_ric = (ric_pm[0] - ric_pm[1]) / (2.0 * h)
+    for got, want in ((fr.d_tau, fd_tau), (d_ric, fd_ric)):
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= 1e-6 * scale
 
 
 def test_contracted_bianchi():
