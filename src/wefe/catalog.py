@@ -8,6 +8,7 @@ User-supplied manifests load through exactly the same parser."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -16,6 +17,49 @@ from . import tensor as T
 from .errors import DomainError, ManifestError, ParameterOutOfRange
 
 _BOOL = {"true": True, "false": False}
+
+
+def _bool(text):
+    if text.lower() not in _BOOL:
+        raise ValueError(f"expected true or false, got {text!r}")
+    return _BOOL[text.lower()]
+
+
+def _finite(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return v
+
+
+def _one_of(*choices):
+    def parse(text):
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, "
+                             f"got {text!r}")
+        return text
+    return parse
+
+
+# Every flag a manifest may carry, with the parser of its value.
+# ``wefe verify`` checks is_solution, harmonic_curvature,
+# locally_conformally_flat, tau and ricci_flat (weighted.verify) and
+# ricci_type and causal_character (cli.cmd_verify).  The acceptance
+# tests' ODE cross-check reads fiber_curvature; eps, warped_product and
+# multiply_warped describe the family and are checked for type only.
+FLAGS = {
+    "is_solution": _bool,
+    "harmonic_curvature": _bool,
+    "locally_conformally_flat": _bool,
+    "ricci_flat": _bool,
+    "tau": _finite,
+    "ricci_type": _one_of("I.a", "I.b", "II", "III"),
+    "causal_character": _one_of("spacelike", "timelike", "lightlike"),
+    "eps": _finite,
+    "fiber_curvature": _finite,
+    "warped_product": _one_of("direct", "warped"),
+    "multiply_warped": _bool,
+}
 
 
 @dataclass
@@ -103,7 +147,12 @@ def _parse_line(entry, key, value, lineno):
         entry["params"][name] = (float(default), float(lo), float(hi))
     elif key == "flag":
         name, val = value.split(None, 1)
-        entry["flags"][name] = _BOOL.get(val.strip().lower(), val.strip())
+        if name not in FLAGS:
+            raise ManifestError(f"unknown flag {name!r}")
+        try:
+            entry["flags"][name] = FLAGS[name](val.strip())
+        except ValueError as e:
+            raise ManifestError(f"flag {name}: {e}") from e
     elif key.startswith("metric"):
         entry["metric"][(i, j)] = value
     elif key == "dimension":

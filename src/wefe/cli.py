@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -215,6 +216,15 @@ def cmd_ode(args) -> int:
         t0, t1 = (float(x) for x in args.span.split(":"))
     except ValueError:
         sys.stderr.write(f"error: bad --span {args.span!r}, expected t0:t1\n")
+        return EXIT_BAD_INPUT
+    bad = [k for k, v in params.items() if not math.isfinite(v)]
+    if bad or not (math.isfinite(t0) and math.isfinite(t1)):
+        what = f"--param {bad[0]}" if bad else f"--span {args.span!r}"
+        sys.stderr.write(f"error: bad {what}, values must be finite\n")
+        return EXIT_BAD_INPUT
+    if params.get("n", 3) < 3:
+        sys.stderr.write(f"error: bad --param n={params['n']}, the "
+                         f"dimension must be at least 3\n")
         return EXIT_BAD_INPUT
     try:
         state = ode.closed_form(args.branch, params, t0)

@@ -8,12 +8,22 @@ eigenvalue pair, alpha the remaining real eigenvalue and H = h^2/|grad h|^2.
 The derivation nabla_h encodes how these quantities evolve along grad h.
 A Groebner basis of the ideal generated by the derived polynomial system
 certifies that b must vanish, so no such solution exists.
+
+Buchberger's algorithm uses the normal selection strategy (Gebauer and
+Moeller, J. Symbolic Comput. 6, 1988): the pending S-pairs sit in a heap
+keyed by the grlex key of their lcm, ties broken by the pair (i, j), so
+each pair is keyed once rather than every pending pair being rescanned at
+every step.  Division keeps a max-heap of the monomials still to reduce,
+with lazy deletion of terms that cancel, and takes the basis leading terms
+from its caller when the caller already has them.  Both do the same
+Fraction arithmetic in the same order as a plain rescan would.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .errors import GeneratorMismatch, ResourceLimit
@@ -21,13 +31,13 @@ from .errors import GeneratorMismatch, ResourceLimit
 VARS = ("J", "a", "b", "alpha", "H")
 NVARS = 5
 _ZERO = (0, 0, 0, 0, 0)
-# lex tie-break uses the fixed variable order J < a < b < alpha < H,
-# so exponents are compared from H (largest) down to J
-_LEX = (4, 3, 2, 1, 0)
 
 
 def grlex_key(mono):
-    return (sum(mono), tuple(mono[i] for i in _LEX))
+    # lex tie-break uses the fixed variable order J < a < b < alpha < H,
+    # so exponents are compared from H (largest) down to J
+    e0, e1, e2, e3, e4 = mono
+    return (e0 + e1 + e2 + e3 + e4, (e4, e3, e2, e1, e0))
 
 
 class Poly:
@@ -280,37 +290,61 @@ def generators():
     return (P1_EXPECTED, P2_EXPECTED) + tuple(r[1] for r in rows)
 
 
-def _reduce(q: Poly, basis, collect_quotients=False):
-    """Multivariate division: remainder of q modulo basis (grlex)."""
-    lead = [(g.leading(), g) for g in basis]
+def _reduce(q: Poly, basis, collect_quotients=False, lead=None):
+    """Multivariate division: remainder of q modulo basis (grlex).
+
+    ``lead`` optionally gives each basis element's (monomial, coefficient)
+    leading term.  The pending terms are a max-heap of negated grlex keys;
+    a popped monomial that is no longer in ``work`` has cancelled."""
+    if lead is None:
+        lead = [g.leading() for g in basis]
     rem = {}
     work = dict(q.terms)
+    heap = [(_neg_key(m), m) for m in work]
+    heapify(heap)
     quots = [Poly.zero() for _ in basis] if collect_quotients else None
-    while work:
-        m = max(work, key=grlex_key)
-        c = work.pop(m)
-        for i, ((lm, lc), g) in enumerate(lead):
-            if all(m[k] >= lm[k] for k in range(NVARS)):
-                qm = tuple(m[k] - lm[k] for k in range(NVARS))
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        m0, m1, m2, m3, m4 = m
+        for i, (lm, lc) in enumerate(lead):
+            if (m0 >= lm[0] and m1 >= lm[1] and m2 >= lm[2]
+                    and m3 >= lm[3] and m4 >= lm[4]):
+                q0, q1, q2, q3, q4 = qm = (m0 - lm[0], m1 - lm[1],
+                                           m2 - lm[2], m3 - lm[3],
+                                           m4 - lm[4])
                 qc = c / lc
-                for gm, gc in g.terms.items():
-                    t = (qm[0] + gm[0], qm[1] + gm[1], qm[2] + gm[2],
-                         qm[3] + gm[3], qm[4] + gm[4])
+                for gm, gc in basis[i].terms.items():
+                    t = (q0 + gm[0], q1 + gm[1], q2 + gm[2],
+                         q3 + gm[3], q4 + gm[4])
                     if t == m:
                         continue
-                    s = work.get(t, 0) - qc * gc
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = -(qc * gc)
+                        heappush(heap, (_neg_key(t), t))
+                        continue
+                    s = old - qc * gc
                     if s:
                         work[t] = s
                     else:
-                        work.pop(t, None)
+                        del work[t]
                 if collect_quotients:
-                    quots[i] = quots[i] + Poly({qm: qc})
+                    quots[i].terms[qm] = qc
                 break
         else:
             rem[m] = c
     r = Poly()
     r.terms = rem
     return (r, quots) if collect_quotients else r
+
+
+def _neg_key(m):
+    """grlex_key(m) negated, so a min-heap pops the largest monomial."""
+    e0, e1, e2, e3, e4 = m
+    return (-(e0 + e1 + e2 + e3 + e4), -e4, -e3, -e2, -e1, -e0)
 
 
 def normal_form(q: Poly, basis) -> Poly:
@@ -325,7 +359,11 @@ def division(q: Poly, basis):
 
 
 def _lcm(m1, m2):
-    return tuple(max(x, y) for x, y in zip(m1, m2))
+    a0, a1, a2, a3, a4 = m1
+    b0, b1, b2, b3, b4 = m2
+    return (a0 if a0 >= b0 else b0, a1 if a1 >= b1 else b1,
+            a2 if a2 >= b2 else b2, a3 if a3 >= b3 else b3,
+            a4 if a4 >= b4 else b4)
 
 
 def _spoly(f, g):
@@ -339,45 +377,57 @@ def _spoly(f, g):
 def buchberger(gens, max_pairs: int = 200000):
     """Reduced Groebner basis in grlex order, deterministic.
 
-    Normal selection strategy (smallest lcm in grlex) with the coprimality
-    and chain criteria.  Raises ResourceLimit if the pair budget is exhausted.
+    Normal selection strategy (smallest lcm in grlex, ties by (i, j)) with
+    the coprimality and chain criteria.  Raises ResourceLimit if the pair
+    budget is exhausted.
     """
     basis = [g.monic() for g in gens if g]
     if not basis:
         return []
-    pairs = {(i, j) for i, j in combinations(range(len(basis)), 2)}
-    lead = [g.leading()[0] for g in basis]
+    terms = [g.leading() for g in basis]
+    lead = [m for m, _ in terms]
+    pairs = set(combinations(range(len(basis)), 2))
+    # every pending pair is in the heap exactly once; ``pairs`` answers
+    # the chain criterion's membership test
+    queue = [(grlex_key(_lcm(lead[i], lead[j])), i, j) for i, j in pairs]
+    heapify(queue)
     processed = 0
-    while pairs:
-        i, j = min(pairs, key=lambda p: (grlex_key(_lcm(lead[p[0]], lead[p[1]])), p))
+    while queue:
+        _, i, j = heappop(queue)
         pairs.discard((i, j))
         processed += 1
         if processed > max_pairs:
             raise ResourceLimit(f"pair budget {max_pairs} exhausted")
-        l = _lcm(lead[i], lead[j])
+        li, lj = lead[i], lead[j]
         # coprime leading monomials: S-poly reduces to zero
-        if all(lead[i][k] == 0 or lead[j][k] == 0 for k in range(NVARS)):
+        if not (li[0] and lj[0] or li[1] and lj[1] or li[2] and lj[2]
+                or li[3] and lj[3] or li[4] and lj[4]):
             continue
+        l0, l1, l2, l3, l4 = _lcm(li, lj)
         # chain criterion
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+        for k, lk in enumerate(lead):
+            if k == i or k == j:
                 continue
-            if all(lead[k][t] <= l[t] for t in range(NVARS)):
+            if (lk[0] <= l0 and lk[1] <= l1 and lk[2] <= l2
+                    and lk[3] <= l3 and lk[4] <= l4):
                 ki, kj = (min(i, k), max(i, k)), (min(j, k), max(j, k))
                 if ki not in pairs and kj not in pairs:
                     skip = True
                     break
         if skip:
             continue
-        r = _reduce(_spoly(basis[i], basis[j]), basis)
+        r = _reduce(_spoly(basis[i], basis[j]), basis, lead=terms)
         if r:
             r = r.monic()
             new = len(basis)
             basis.append(r)
-            lead.append(r.leading()[0])
+            terms.append(r.leading())
+            lr = terms[-1][0]
+            lead.append(lr)
             for k in range(new):
                 pairs.add((k, new))
+                heappush(queue, (grlex_key(_lcm(lead[k], lr)), k, new))
     return _interreduce(basis)
 
 

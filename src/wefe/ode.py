@@ -8,15 +8,20 @@ The system governs a density h and warping function phi on an interval factor:
 Both quantities must stay positive along accepted trajectories.  Two first
 integrals (gamma and the recovered fiber curvature kappa) are conserved and
 used as drift diagnostics.
+
+The Dormand-Prince 5(4) loop (J. Comput. Appl. Math. 6, 1980) carries the
+state and its seven stages as plain float 4-tuples.  Each stage sum runs
+left to right from 0 over every tableau coefficient, the order in which
+numpy summed the same 4-vectors, so trajectories are bit for bit those of
+an array implementation.  Every stage state is built with the positional
+``OdeState`` constructor and evaluated through :func:`rhs`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import DegenerateState, ParameterOutOfRange, StepFailure
 
@@ -82,12 +87,6 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
           -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _f(t: float, y: np.ndarray, proto: OdeState) -> np.ndarray:
-    st = replace(proto, t=t, h=y[0], hp=y[1], phi=y[2], phip=y[3])
-    hpp, phipp = rhs(st)
-    return np.array([y[1], hpp, y[3], phipp])
-
-
 @dataclass
 class Trajectory:
     states: list
@@ -122,18 +121,27 @@ def integrate(state: OdeState, t_end: float, tol: float = DEFAULT_TOL,
     """Adaptive 5(4) embedded Runge-Kutta from state.t to t_end.
 
     Local error per step is kept below tol.  Terminates early (with a flag)
-    if h or phi falls below 1e-9.  Raises StepFailure on step underflow.
+    if h or phi falls below 1e-9.  A NaN error estimate shrinks the step
+    fivefold.  Raises StepFailure on step underflow and when the step
+    budget runs out.
     """
     t = state.t
-    y = np.array([state.h, state.hp, state.phi, state.phip])
+    y = (state.h, state.hp, state.phi, state.phip)
     direction = 1.0 if t_end >= t else -1.0
     span = abs(t_end - t)
     if span == 0.0:
         return Trajectory([state], False)
     dt = direction * min(1e-3, span)
+    n, eps, tau, kappa = state.n, state.eps, state.tau, state.kappa
+    f = rhs  # looked up per call, so a wrapped ode.rhs sees every stage
+
+    def stage(ts, h, hp, phi, phip):
+        hpp, phipp = f(OdeState(ts, h, hp, phi, phip, n, eps, tau, kappa))
+        return hp, hpp, phip, phipp
+
     states = [state]
     k = [None] * 7
-    k[0] = _f(t, y, state)
+    k[0] = stage(t, *y)
     for _ in range(max_steps):
         if abs(dt) < 1e-14 * max(1.0, abs(t)):
             raise StepFailure(f"step size underflow at t={t!r}")
@@ -141,21 +149,25 @@ def integrate(state: OdeState, t_end: float, tol: float = DEFAULT_TOL,
             dt = t_end - t
         try:
             for i in range(1, 7):
-                yi = y + dt * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-                k[i] = _f(t + _DP_C[i] * dt, yi, state)
+                k[i] = stage(t + _DP_C[i] * dt,
+                             *_advance(y, dt, _DP_A[i], k))
         except DegenerateState:
             dt *= 0.5
             continue
-        y5 = y + dt * sum(b * ki for b, ki in zip(_DP_B5, k))
-        y4 = y + dt * sum(b * ki for b, ki in zip(_DP_B4, k))
-        scale = tol * (1.0 + np.abs(y))
-        err = float(np.max(np.abs(y5 - y4) / scale))
+        y5 = _advance(y, dt, _DP_B5, k)
+        y4 = _advance(y, dt, _DP_B4, k)
+        errs = [abs(u - v) / (tol * (1.0 + abs(w)))
+                for u, v, w in zip(y5, y4, y)]
+        if math.isnan(sum(errs)):
+            # a NaN estimate says nothing about the step: shrink it
+            dt *= 0.2
+            continue
+        err = max(errs)
         if err <= 1.0:
             t = t + dt
             y = y5
             k[0] = k[6]  # FSAL
-            states.append(replace(state, t=t, h=y[0], hp=y[1],
-                                  phi=y[2], phip=y[3]))
+            states.append(OdeState(t, *y, n, eps, tau, kappa))
             if y[0] < TERMINATION_FLOOR or y[2] < TERMINATION_FLOOR:
                 return Trajectory(states, True)
             if direction * (t - t_end) >= 0:
@@ -163,6 +175,18 @@ def integrate(state: OdeState, t_end: float, tol: float = DEFAULT_TOL,
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         dt *= min(5.0, max(0.2, factor))
     raise StepFailure(f"no convergence within {max_steps} steps")
+
+
+def _advance(y, dt, coeffs, k):
+    """y + dt * sum(c_j k_j), each component summed left to right from 0
+    over every coefficient (zeros too), as numpy sums 4-vectors."""
+    s0 = s1 = s2 = s3 = 0
+    for c, kj in zip(coeffs, k):
+        s0 = s0 + c * kj[0]
+        s1 = s1 + c * kj[1]
+        s2 = s2 + c * kj[2]
+        s3 = s3 + c * kj[3]
+    return (y[0] + dt * s0, y[1] + dt * s1, y[2] + dt * s2, y[3] + dt * s3)
 
 
 def direct_product_state(eps: float, kappa: float, c1: float, c2: float,

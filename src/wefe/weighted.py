@@ -126,7 +126,8 @@ def verify(spec, samples=DEFAULT_SAMPLES, seed=None, atol=ATOL, rtol=RTOL):
     rnf = float(np.max(np.abs(rnf_batch(fr))))
     d_agree = float(np.max(np.abs(d1 - d_form2_batch(fr))))
 
-    scale = max(1.0, float(np.max(np.abs(fr.ric0))))
+    rho_max = float(np.max(np.abs(fr.ric0)))
+    scale = max(1.0, rho_max)
     tol = atol + rtol * scale
     constant_tau = tau_grad < tol
     harmonic = codazzi < tol and cotton < tol
@@ -155,9 +156,17 @@ def verify(spec, samples=DEFAULT_SAMPLES, seed=None, atol=ATOL, rtol=RTOL):
     for flag, got in (
             ("is_solution", is_solution),
             ("harmonic_curvature", harmonic),
-            ("locally_conformally_flat", lcf)):
+            ("locally_conformally_flat", lcf),
+            ("ricci_flat", rho_max < tol)):
         want = spec.flags.get(flag)
         if want is not None and bool(want) != got:
             report.mismatches.append(
                 f"{flag}: expected {bool(want)}, computed {got}")
+    want = spec.flags.get("tau")
+    if want is not None:
+        dev = np.abs(fr.tau0 - want)
+        worst = int(np.argmax(dev))
+        if not dev[worst] < tol:
+            report.mismatches.append(
+                f"tau: expected {want}, computed {fr.tau0[worst]:.12g}")
     return report

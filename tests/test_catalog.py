@@ -147,7 +147,8 @@ def test_repeated_field_names_both_lines(extra, field, first):
         catalog.parse_manifest(GOOD + extra + "\n")
     # other names, and box lines, may repeat
     e = catalog.parse_manifest(GOOD + "param: b 1.0 0.0 2.0\n"
-                               "flag: is_solution true\nflag: lcf false\n")
+                               "flag: is_solution true\n"
+                               "flag: locally_conformally_flat false\n")
     assert set(e.params) == {"a", "b"} and len(e.box) == 3
 
 
@@ -195,6 +196,44 @@ def test_flags_parsed_types():
     assert e.flags["is_solution"] is True
     assert e.flags["locally_conformally_flat"] is False
     assert e.flags["ricci_type"] == "I.a"
+
+
+def test_flag_values_take_their_declared_types():
+    e = catalog.get_entry("cor36-2-tau-neg")
+    assert e.flags["tau"] == 3.0 and isinstance(e.flags["tau"], float)
+    assert e.flags["fiber_curvature"] == 1.0
+    assert e.flags["eps"] == -1.0
+    assert e.flags["warped_product"] == "warped"
+    assert e.flags["causal_character"] == "timelike"
+
+
+def test_every_builtin_flag_is_declared():
+    for e in catalog.list_entries():
+        assert set(e.flags) <= set(catalog.FLAGS), e.entry_id
+
+
+def test_unknown_flag_names_source_and_line():
+    with pytest.raises(ManifestError,
+                       match=r"toy\.manifest:14: unknown flag 'is_soluton'"):
+        catalog.parse_manifest(GOOD + "flag: is_soluton false\n",
+                               source="toy.manifest")
+
+
+@pytest.mark.parametrize("line, frag", [
+    ("flag: is_solution yes", "expected true or false"),
+    ("flag: ricci_flat 1", "expected true or false"),
+    ("flag: tau three", "could not convert"),
+    ("flag: tau nan", "finite"),
+    ("flag: fiber_curvature inf", "finite"),
+    ("flag: ricci_type IV", "expected one of I.a, I.b, II, III"),
+    ("flag: causal_character null", "expected one of"),
+    ("flag: warped_product twisted", "expected one of direct, warped"),
+])
+def test_flag_value_of_wrong_type_names_line(line, frag):
+    name = line.split()[1]
+    with pytest.raises(ManifestError,
+                       match=f"<manifest>:14: flag {name}: .*{frag}"):
+        catalog.parse_manifest(GOOD + line + "\n")
 
 
 def test_manifest_file_names_are_ids():

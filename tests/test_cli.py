@@ -282,3 +282,72 @@ def test_classify_rejects_non_finite_point(value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "coordinates must be finite" in captured.err
+
+
+def _builtin_manifest(eid):
+    return (catalog._manifest_dir() / f"{eid}.manifest").read_text(
+        encoding="utf-8")
+
+
+def test_verify_checks_tau_flag(tmp_path):
+    # cor36-2-tau-neg has scalar curvature 3 everywhere
+    path = tmp_path / "tau7.manifest"
+    path.write_text(_builtin_manifest("cor36-2-tau-neg").replace(
+        "flag: tau 3\n", "flag: tau 7\n"))
+    out = tmp_path / "r.json"
+    assert run(["verify", "--manifest", str(path), "--out", str(out)]) == 2
+    (item,) = json.loads(out.read_text())["entries"].values()
+    assert item["mismatches"] == ["tau: expected 7.0, computed 3"]
+
+
+def test_verify_rejects_misspelled_flag(tmp_path, capsys):
+    path = tmp_path / "typo.manifest"
+    text = _builtin_manifest("cor36-2-tau-neg") + "flag: is_soluton false\n"
+    path.write_text(text)
+    assert run(["verify", "--manifest", str(path)]) == 4
+    line = text.count("\n")
+    assert f"typo.manifest:{line}: unknown flag 'is_soluton'" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eid, flag, code", [
+    ("toy-flat", "true", 0),
+    ("toy-flat", "false", 2),
+    ("cor36-2-tau-neg", "true", 2),
+    ("cor36-2-tau-neg", "false", 0),
+])
+def test_verify_checks_ricci_flat_flag(tmp_path, eid, flag, code):
+    text = GOOD_MANIFEST if eid == "toy-flat" else _builtin_manifest(eid)
+    path = tmp_path / "m.manifest"
+    path.write_text(text + f"flag: ricci_flat {flag}\n")
+    out = tmp_path / "r.json"
+    assert run(["verify", "--manifest", str(path), "--out", str(out)]) == code
+    (item,) = json.loads(out.read_text())["entries"].values()
+    assert item["mismatches"] == ([] if code == 0 else [
+        f"ricci_flat: expected {flag.title()}, computed {flag != 'true'}"])
+
+
+_DIRECT = ["ode", "--branch", "direct", "--param", "eps=1", "--param",
+           "kappa=1", "--param", "c1=0.3", "--param", "c2=1.0"]
+
+
+@pytest.mark.parametrize("param", ["kappa=nan", "c1=nan", "c2=inf",
+                                   "eps=-inf"])
+def test_ode_rejects_non_finite_param(param, capsys):
+    assert run(_DIRECT + ["--param", param]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad --param {param.split('=')[0]}, values must be finite" in \
+        captured.err
+
+
+@pytest.mark.parametrize("span", ["0:nan", "0:inf", "nan:1", "-inf:0"])
+def test_ode_rejects_non_finite_span(span, capsys):
+    assert run(_DIRECT + [f"--span={span}"]) == 4
+    assert "values must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, -3])
+def test_ode_rejects_dimension_below_three(n, capsys):
+    assert run(_DIRECT + ["--param", f"n={n}"]) == 4
+    assert "dimension must be at least 3" in capsys.readouterr().err

@@ -133,6 +133,10 @@ def test_membership_of_target():
     assert gb.normal_form(b, basis)
 
 
+def _divisible(m, lm):
+    return all(x >= y for x, y in zip(m, lm))
+
+
 def test_division_reconstructs():
     basis = gb.buchberger(gb.generators())
     q = gb.G_TARGET + J * a * b + 3
@@ -141,12 +145,119 @@ def test_division_reconstructs():
     for coef, g in zip(quots, basis):
         total = total + coef * g
     assert total == q
+    leads = [g.leading()[0] for g in basis]
+    assert rem
+    assert not any(_divisible(m, lm) for m in rem.terms for lm in leads)
 
 
 def test_normal_form_idempotent():
     basis = gb.buchberger(gb.generators())
     r = gb.normal_form(J * J * a * H + b, basis)
     assert gb.normal_form(r, basis) == r
+
+
+def test_selection_order_is_pinned():
+    # the normal strategy with (i, j) tie-breaks needs exactly 276 pairs
+    assert len(gb.buchberger(gb.generators(), max_pairs=276)) == 14
+    with pytest.raises(ResourceLimit):
+        gb.buchberger(gb.generators(), max_pairs=275)
+
+
+def _rescan_spolys(gens):
+    """The S-pairs a plain rescan reduces, in order: the smallest
+    (grlex key of the lcm, (i, j)) over every pending pair at each step,
+    with the same coprimality and chain criteria."""
+    basis = [g.monic() for g in gens if g]
+    lead = [g.leading()[0] for g in basis]
+    pairs = set(combinations(range(len(basis)), 2))
+    order = []
+    while pairs:
+        i, j = min(pairs, key=lambda p: (
+            gb.grlex_key(gb._lcm(lead[p[0]], lead[p[1]])), p))
+        pairs.discard((i, j))
+        lcm = gb._lcm(lead[i], lead[j])
+        if all(lead[i][k] == 0 or lead[j][k] == 0 for k in range(5)):
+            continue
+        if any(all(x <= y for x, y in zip(lead[k], lcm))
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k in range(len(basis)) if k not in (i, j)):
+            continue
+        order.append((str(basis[i]), str(basis[j])))
+        r = gb._reduce(gb._spoly(basis[i], basis[j]), basis)
+        if r:
+            basis.append(r.monic())
+            lead.append(basis[-1].leading()[0])
+            pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
+    return order
+
+
+def test_pair_queue_reduces_the_rescan_order(monkeypatch):
+    gens = gb.generators()
+    want = _rescan_spolys(gens)
+    got = []
+    spoly = gb._spoly
+
+    def logged(f, g):
+        got.append((str(f), str(g)))
+        return spoly(f, g)
+
+    monkeypatch.setattr(gb, "_spoly", logged)
+    gb.buchberger(gens)
+    assert len(got) == len(want) > 20
+    assert got == want
+
+
+@st.composite
+def nonzero_polys(draw):
+    p = draw(polys())
+    return p if p else gb.Poly.constant(draw(st.integers(1, 3)))
+
+
+@given(polys(), st.lists(nonzero_polys(), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_division_property(q, basis):
+    rem, quots = gb.division(q, basis)
+    total = rem
+    for coef, g in zip(quots, basis):
+        total = total + coef * g
+    assert total == q
+    leads = [g.leading()[0] for g in basis]
+    assert not any(_divisible(m, lm) for m in rem.terms for lm in leads)
+
+
+# squarefree terms keep every ideal small enough for both Buchberger runs
+_small_poly = st.dictionaries(
+    st.tuples(*(st.integers(0, 1) for _ in range(5))), st.integers(1, 4)
+    | st.integers(-4, -1), min_size=1, max_size=3).map(
+        lambda terms: gb.Poly({m: Fraction(c) for m, c in terms.items()}))
+
+
+@given(st.lists(_small_poly, min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_buchberger_matches_sympy(gens):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("H alpha b a J")   # H > alpha > b > a > J
+    by_name = dict(zip(("H", "alpha", "b", "a", "J"), symbols))
+
+    def to_sympy(p):
+        expr = sympy.Integer(0)
+        for mono, c in p.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for var, e in zip(gb.VARS, mono):
+                term *= by_name[var] ** e
+            expr += term
+        return expr
+
+    def monic_set(exprs):
+        return {tuple(sorted(sympy.Poly(e, *symbols, domain="QQ")
+                             .monic().terms())) for e in exprs}
+
+    reference = sympy.groebner([to_sympy(g) for g in gens], *symbols,
+                               order="grlex")
+    computed = gb.buchberger(gens)
+    assert monic_set(to_sympy(g) for g in computed) == \
+        monic_set(reference.exprs)
 
 
 def test_resource_limit():

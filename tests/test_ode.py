@@ -120,6 +120,67 @@ def test_early_termination_at_density_zero():
     assert traj.final().h < 1e-6
 
 
+def _numpy_trajectory(st, t_end, tol=ode.DEFAULT_TOL):
+    """The Dormand-Prince loop on numpy 4-vectors, from the same tableau and
+    step control, for spans with no degenerate stage or early stop."""
+    def f(t, y):
+        hpp, phipp = ode.rhs(replace(st, t=t, h=y[0], hp=y[1], phi=y[2],
+                                     phip=y[3]))
+        return np.array([y[1], hpp, y[3], phipp])
+
+    t, y = st.t, np.array([st.h, st.hp, st.phi, st.phip])
+    direction = 1.0 if t_end >= t else -1.0
+    dt = direction * min(1e-3, abs(t_end - t))
+    k = [f(t, y)] + [None] * 6
+    out = [(t, *y)]
+    while direction * (t - t_end) < 0:
+        if direction * (t + dt - t_end) > 0:
+            dt = t_end - t
+        for i in range(1, 7):
+            yi = y + dt * sum(a * k[j] for j, a in enumerate(ode._DP_A[i]))
+            k[i] = f(t + ode._DP_C[i] * dt, yi)
+        y5 = y + dt * sum(b * kj for b, kj in zip(ode._DP_B5, k))
+        y4 = y + dt * sum(b * kj for b, kj in zip(ode._DP_B4, k))
+        err = float(np.max(np.abs(y5 - y4) / (tol * (1.0 + np.abs(y)))))
+        if err <= 1.0:
+            t, y, k[0] = t + dt, y5, k[6]
+            out.append((t, *y))
+        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
+        dt *= min(5.0, max(0.2, factor))
+    return out
+
+
+@pytest.mark.parametrize("branch, params", [
+    ("direct", dict(eps=1.0, kappa=1.0, c1=0.3, c2=1.0)),
+    ("direct", dict(eps=-1.0, kappa=1.0, c1=0.7, c2=0.4, n=5)),
+    ("warped", dict(eps=1.0, tau=6.0, kappa=1.0, c1=0.2, c2=0.1, A=1.0)),
+    ("warped", dict(eps=-1.0, tau=3.0, kappa=1.0, c1=1.2, c2=0.3, A=0.5)),
+])
+@pytest.mark.parametrize("t_end", [1e-3, 0.4, -0.4])
+def test_steps_match_numpy_bit_for_bit(branch, params, t_end):
+    # the float loop sums each stage in numpy's order, so every accepted
+    # step, the first one (t_end = 1e-3) included, and hence every report,
+    # is bit for bit that of an array implementation
+    start = ode.closed_form(branch, params, 0.0)
+    traj = ode.integrate(start, t_end)
+    ref = _numpy_trajectory(start, t_end)
+    got = [(s.t, s.h, s.hp, s.phi, s.phip) for s in traj.states]
+    assert len(got) == len(ref) >= (2 if t_end == 1e-3 else 10)
+    assert [[float(v).hex() for v in row] for row in got] == \
+        [[float(v).hex() for v in row] for row in ref]
+    assert all((s.n, s.eps, s.tau, s.kappa) == (start.n, start.eps,
+                                                 start.tau, start.kappa)
+               for s in traj.states)
+
+
+def test_nan_error_estimate_shrinks_the_step():
+    # a NaN estimate used to grow the step fivefold until the budget ran
+    # out; now the step shrinks until it underflows
+    start = ode.OdeState(t=0.0, h=1.0, hp=math.nan, phi=1.0, phip=0.1)
+    with pytest.raises(StepFailure, match="underflow"):
+        ode.integrate(start, 1.0, max_steps=100)
+
+
 def test_step_budget_exhausted():
     start = ode.direct_product_state(eps=1.0, kappa=1.0, c1=0.3, c2=1.0,
                                      t=0.0)
