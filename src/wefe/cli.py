@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import sys
@@ -212,6 +213,18 @@ def cmd_ode(args) -> int:
             sys.stderr.write(f"error: bad --param {kv!r}, value is not "
                              f"a number\n")
             return EXIT_BAD_INPUT
+    # the branch's closed form names its parameters; t is the span's
+    signature = inspect.signature(ode.BRANCHES[args.branch]).parameters
+    names = [k for k in signature if k != "t"]
+    unknown = [k for k in params if k not in names]
+    missing = [k for k in names if k not in params
+               and signature[k].default is inspect.Parameter.empty]
+    if unknown or missing:
+        what = (f"unknown --param {unknown[0]}" if unknown
+                else f"missing --param {missing[0]}")
+        sys.stderr.write(f"error: {what} for branch {args.branch}, which "
+                         f"takes {', '.join(names)}\n")
+        return EXIT_BAD_INPUT
     try:
         t0, t1 = (float(x) for x in args.span.split(":"))
     except ValueError:

@@ -1,13 +1,26 @@
 """Exact polynomial algebra for the non-existence argument for complex Ricci
 eigenvalues.
 
-Everything here is exact rational arithmetic over the five quantities
-J, a, b, alpha, H attached to a Type I.b candidate solution: J is the
+Everything here is exact arithmetic over the five quantities J, a, b,
+alpha, H attached to a Type I.b candidate solution: J is the
 weighted trace quantity tau/6, (a, b) the real/imaginary parts of the complex
 eigenvalue pair, alpha the remaining real eigenvalue and H = h^2/|grad h|^2.
 The derivation nabla_h encodes how these quantities evolve along grad h.
 A Groebner basis of the ideal generated by the derived polynomial system
 certifies that b must vanish, so no such solution exists.
+
+The pipeline runs over the integers, fraction-free (Geddes, Czapor and
+Labahn, Algorithms for Computer Algebra, 1992, ch. 10): the generators,
+the derivation table and nabla_h are integral, and only the exact halving
+that gives P4 divides.  Buchberger keeps each basis element primitive
+(content 1, positive leading coefficient), forms each S-polynomial as
+(lc g / d) x^u f - (lc f / d) x^v g with d = gcd(lc f, lc g), and reduces
+by multiplying what is left by lc / gcd instead of dividing by lc.  A
+remainder is a rational multiple of the one rational arithmetic would
+give, so it has the same leading monomial, and the same S-pairs are
+reduced in the same order.  Fractions remain only where a result is
+rational: the basis is made monic when it is returned, and normal_form
+and division divide the accumulated integer scale out of their results.
 
 Buchberger's algorithm uses the normal selection strategy (Gebauer and
 Moeller, J. Symbolic Comput. 6, 1988): the pending S-pairs sit in a heap
@@ -15,8 +28,7 @@ keyed by the grlex key of their lcm, ties broken by the pair (i, j), so
 each pair is keyed once rather than every pending pair being rescanned at
 every step.  Division keeps a max-heap of the monomials still to reduce,
 with lazy deletion of terms that cancel, and takes the basis leading terms
-from its caller when the caller already has them.  Both do the same
-Fraction arithmetic in the same order as a plain rescan would.
+from its caller when the caller already has them.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import GeneratorMismatch, ResourceLimit
 
@@ -41,7 +54,12 @@ def grlex_key(mono):
 
 
 class Poly:
-    """Sparse polynomial: exponent 5-tuple -> Fraction, no zero coefficients."""
+    """Sparse polynomial: exponent 5-tuple -> coefficient, no zero
+    coefficients.
+
+    Coefficients are ints or Fractions.  Sums, products and derivatives of
+    integer polynomials stay integer, ``/`` gives an int wherever the
+    quotient is whole, and ``monic`` gives Fractions."""
 
     __slots__ = ("terms",)
 
@@ -54,14 +72,15 @@ class Poly:
 
     @staticmethod
     def constant(c):
-        c = Fraction(c)
+        if not isinstance(c, int):
+            c = Fraction(c)
         return Poly({_ZERO: c} if c else {})
 
     @staticmethod
     def variable(name):
         e = [0] * NVARS
         e[VARS.index(name)] = 1
-        return Poly({tuple(e): Fraction(1)})
+        return Poly({tuple(e): 1})
 
     def __bool__(self):
         return bool(self.terms)
@@ -127,7 +146,10 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, k):
-        return self * Fraction(1, k) if isinstance(k, int) else self * (1 / Fraction(k))
+        k = Fraction(k)
+        p = Poly()
+        p.terms = {m: _whole(c / k) for m, c in self.terms.items()}
+        return p
 
     def diff(self, var_index):
         out = {}
@@ -146,10 +168,13 @@ class Poly:
         return m, self.terms[m]
 
     def monic(self):
+        """This polynomial over its leading coefficient, in Fractions."""
         if not self.terms:
             return self
-        _, c = self.leading()
-        return self * (1 / c)
+        inv = 1 / Fraction(self.leading()[1])
+        p = Poly()
+        p.terms = {m: c * inv for m, c in self.terms.items()}
+        return p
 
     def __str__(self):
         if not self.terms:
@@ -170,6 +195,11 @@ class Poly:
     __repr__ = __str__
 
 
+def _whole(x):
+    """The Fraction x as an int when its denominator is 1."""
+    return x.numerator if x.denominator == 1 else x
+
+
 J, a, b, alpha, H = (Poly.variable(v) for v in VARS)
 
 _TERM_RE = re.compile(r"([+-]?)\s*(\d+)?\s*((?:alpha|[JabH])(?:\^\d+)?"
@@ -186,7 +216,7 @@ def parse_poly(text: str) -> Poly:
         if not m or m.end() == pos:
             raise ValueError(f"bad polynomial near {text[pos:pos+20]!r}")
         sign, num, factors = m.groups()
-        coeff = Fraction(int(num) if num else 1)
+        coeff = int(num) if num else 1
         if sign == "-":
             coeff = -coeff
         expo = [0] * NVARS
@@ -266,7 +296,8 @@ P6_EXPECTED = parse_poly(
 
 def generator_table():
     """Computed P3..P6 next to their expected forms; list of
-    (name, computed, expected, diff)."""
+    (name, computed, expected, diff).  Integer arithmetic throughout: the
+    halving that gives P4 is exact."""
     p3 = nabla_h(P1_EXPECTED)
     p4 = nabla_h(P2_EXPECTED) / 2
     p5 = nabla_h(p3)
@@ -290,8 +321,32 @@ def generators():
     return (P1_EXPECTED, P2_EXPECTED) + tuple(r[1] for r in rows)
 
 
+def _primitive(p: Poly):
+    """(k, k p, leading term of k p) for the rational k that makes k p an
+    integer polynomial of content 1 with a positive leading coefficient;
+    p must not be zero."""
+    lm, lc = p.leading()
+    ratios = {m: c.as_integer_ratio() for m, c in p.terms.items()}
+    den = lcm(*(d for _, d in ratios.values()))
+    ints = {m: n * (den // d) for m, (n, d) in ratios.items()}
+    g = gcd(*ints.values())
+    if lc < 0:
+        g = -g
+    q = Poly()
+    q.terms = {m: c // g for m, c in ints.items()}
+    return Fraction(den, g), q, (lm, q.terms[lm])
+
+
 def _reduce(q: Poly, basis, collect_quotients=False, lead=None):
-    """Multivariate division: remainder of q modulo basis (grlex).
+    """Fraction-free multivariate division (grlex) of the integer
+    polynomial q by primitive integer polynomials.
+
+    Returns (r, s, quotients), with s a positive integer and
+    s q = sum(quotients[i] basis[i]) + r, where no term of r is divisible
+    by a leading monomial of the basis; quotients is None unless
+    collected.  To cancel a term c x^m by g, whose leading term is
+    lc x^lm, the step multiplies what is left of q, r and the quotients
+    by lc / gcd(c, lc) and subtracts (c / gcd(c, lc)) x^(m - lm) g.
 
     ``lead`` optionally gives each basis element's (monomial, coefficient)
     leading term.  The pending terms are a max-heap of negated grlex keys;
@@ -299,10 +354,11 @@ def _reduce(q: Poly, basis, collect_quotients=False, lead=None):
     if lead is None:
         lead = [g.leading() for g in basis]
     rem = {}
+    scale = 1
     work = dict(q.terms)
     heap = [(_neg_key(m), m) for m in work]
     heapify(heap)
-    quots = [Poly.zero() for _ in basis] if collect_quotients else None
+    quots = [{} for _ in basis] if collect_quotients else None
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m, None)
@@ -315,7 +371,18 @@ def _reduce(q: Poly, basis, collect_quotients=False, lead=None):
                 q0, q1, q2, q3, q4 = qm = (m0 - lm[0], m1 - lm[1],
                                            m2 - lm[2], m3 - lm[3],
                                            m4 - lm[4])
-                qc = c / lc
+                d = gcd(c, lc)
+                f, e = lc // d, c // d
+                if f != 1:
+                    scale *= f
+                    for t in work:
+                        work[t] *= f
+                    for t in rem:
+                        rem[t] *= f
+                    if collect_quotients:
+                        for qi in quots:
+                            for t in qi:
+                                qi[t] *= f
                 for gm, gc in basis[i].terms.items():
                     t = (q0 + gm[0], q1 + gm[1], q2 + gm[2],
                          q3 + gm[3], q4 + gm[4])
@@ -323,22 +390,22 @@ def _reduce(q: Poly, basis, collect_quotients=False, lead=None):
                         continue
                     old = work.get(t)
                     if old is None:
-                        work[t] = -(qc * gc)
+                        work[t] = -(e * gc)
                         heappush(heap, (_neg_key(t), t))
                         continue
-                    s = old - qc * gc
+                    s = old - e * gc
                     if s:
                         work[t] = s
                     else:
                         del work[t]
                 if collect_quotients:
-                    quots[i].terms[qm] = qc
+                    quots[i][qm] = e
                 break
         else:
             rem[m] = c
     r = Poly()
     r.terms = rem
-    return (r, quots) if collect_quotients else r
+    return r, scale, quots
 
 
 def _neg_key(m):
@@ -347,15 +414,28 @@ def _neg_key(m):
     return (-(e0 + e1 + e2 + e3 + e4), -e4, -e3, -e2, -e1, -e0)
 
 
+def _divide(q: Poly, basis, collect_quotients):
+    """Exact division of q by any nonzero basis: the fraction-free
+    division of the primitive parts, with its scales divided out."""
+    k, qp, _ = _primitive(q) if q else (1, q, None)
+    prim = [_primitive(g) for g in basis]
+    r, s, quots = _reduce(qp, [g for _, g, _ in prim], collect_quotients,
+                          [lt for _, _, lt in prim])
+    k = k * s
+    if not collect_quotients:
+        return r / k, None
+    return r / k, [Poly(qi) / (k / kg) for qi, (kg, _, _) in zip(quots, prim)]
+
+
 def normal_form(q: Poly, basis) -> Poly:
     """Remainder of q on division by the basis; zero iff q is in the ideal
     when the basis is a Groebner basis."""
-    return _reduce(q, basis)
+    return _divide(q, basis, False)[0]
 
 
 def division(q: Poly, basis):
     """(remainder, quotients) with q = sum quotients[i]*basis[i] + remainder."""
-    return _reduce(q, basis, collect_quotients=True)
+    return _divide(q, basis, True)
 
 
 def _lcm(m1, m2):
@@ -367,24 +447,28 @@ def _lcm(m1, m2):
 
 
 def _spoly(f, g):
+    """The integer S-polynomial (lc g / d) x^u f - (lc f / d) x^v g of two
+    integer polynomials, d = gcd(lc f, lc g), x^u lm f = x^v lm g = lcm."""
     (mf, cf), (mg, cg) = f.leading(), g.leading()
     l = _lcm(mf, mg)
-    uf = Poly({tuple(l[k] - mf[k] for k in range(NVARS)): 1 / cf})
-    ug = Poly({tuple(l[k] - mg[k] for k in range(NVARS)): 1 / cg})
+    d = gcd(cf, cg)
+    uf = Poly({tuple(l[k] - mf[k] for k in range(NVARS)): cg // d})
+    ug = Poly({tuple(l[k] - mg[k] for k in range(NVARS)): cf // d})
     return uf * f - ug * g
 
 
 def buchberger(gens, max_pairs: int = 200000):
-    """Reduced Groebner basis in grlex order, deterministic.
+    """Reduced Groebner basis in grlex order, deterministic, monic.
 
     Normal selection strategy (smallest lcm in grlex, ties by (i, j)) with
-    the coprimality and chain criteria.  Raises ResourceLimit if the pair
-    budget is exhausted.
+    the coprimality and chain criteria, over primitive integer
+    polynomials.  Raises ResourceLimit if the pair budget is exhausted.
     """
-    basis = [g.monic() for g in gens if g]
-    if not basis:
+    prim = [_primitive(g) for g in gens if g]
+    if not prim:
         return []
-    terms = [g.leading() for g in basis]
+    basis = [g for _, g, _ in prim]
+    terms = [lt for _, _, lt in prim]
     lead = [m for m, _ in terms]
     pairs = set(combinations(range(len(basis)), 2))
     # every pending pair is in the heap exactly once; ``pairs`` answers
@@ -417,43 +501,47 @@ def buchberger(gens, max_pairs: int = 200000):
                     break
         if skip:
             continue
-        r = _reduce(_spoly(basis[i], basis[j]), basis, lead=terms)
+        r = _reduce(_spoly(basis[i], basis[j]), basis, lead=terms)[0]
         if r:
-            r = r.monic()
+            _, r, lt = _primitive(r)
             new = len(basis)
             basis.append(r)
-            terms.append(r.leading())
-            lr = terms[-1][0]
+            terms.append(lt)
+            lr = lt[0]
             lead.append(lr)
             for k in range(new):
                 pairs.add((k, new))
                 heappush(queue, (grlex_key(_lcm(lead[k], lr)), k, new))
-    return _interreduce(basis)
+    return _interreduce(basis, terms)
 
 
-def _interreduce(basis):
-    # drop redundant leading terms, then fully reduce tails
-    basis = sorted(basis, key=lambda g: grlex_key(g.leading()[0]))
+def _interreduce(basis, terms):
+    """The reduced basis, monic, ascending in grlex: drop the elements whose
+    leading monomial another one divides, then fully reduce the tails.
+    ``terms`` gives each element's leading term."""
+    order = sorted(range(len(basis)), key=lambda i: grlex_key(terms[i][0]))
     kept = []
-    for g in basis:
-        lm = g.leading()[0]
-        if any(all(lm[k] >= om[k] for k in range(NVARS)) for om in
-               (h.leading()[0] for h in kept)):
-            continue
-        kept.append(g)
+    for i in order:
+        lm = terms[i][0]
+        if not any(all(lm[k] >= terms[j][0][k] for k in range(NVARS))
+                   for j in kept):
+            kept.append(i)
+    # a tail reduction leaves the leading term, so ``kept`` stays sorted
     out = []
-    for i, g in enumerate(kept):
-        rest = kept[:i] + kept[i + 1:]
-        r = _reduce(g, rest) if rest else g
-        if r:
-            out.append(r.monic())
-    return sorted(out, key=lambda g: grlex_key(g.leading()[0]))
+    for i in kept:
+        rest = [j for j in kept if j != i]
+        out.append(_reduce(basis[i], [basis[j] for j in rest],
+                           lead=[terms[j] for j in rest])[0].monic())
+    return out
 
 
 def is_groebner(basis) -> bool:
     """Post-hoc certificate: every S-polynomial reduces to zero."""
+    prim = [_primitive(g) for g in basis]
+    basis = [g for _, g, _ in prim]
+    lead = [lt for _, _, lt in prim]
     for f, g in combinations(basis, 2):
-        if _reduce(_spoly(f, g), basis):
+        if _reduce(_spoly(f, g), basis, lead=lead)[0]:
             return False
     return True
 

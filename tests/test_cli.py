@@ -351,3 +351,19 @@ def test_ode_rejects_non_finite_span(span, capsys):
 def test_ode_rejects_dimension_below_three(n, capsys):
     assert run(_DIRECT + ["--param", f"n={n}"]) == 4
     assert "dimension must be at least 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (_DIRECT + ["--param", "foo=2"], "unknown --param foo for branch direct"),
+    (_DIRECT + ["--param", "t=0.5"], "unknown --param t for branch direct"),
+    (_DIRECT + ["--param", "tau=1"], "unknown --param tau for branch direct"),
+    (_DIRECT[:-2], "missing --param c2 for branch direct"),
+    (["ode", "--branch", "warped", "--param", "eps=1", "--param", "tau=3",
+      "--param", "kappa=1", "--param", "c1=1", "--param", "c2=0"],
+     "missing --param A for branch warped"),
+])
+def test_ode_rejects_unknown_or_missing_param(args, message, capsys):
+    assert run(args) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -74,6 +74,29 @@ def test_derivation_base_cases():
     assert gb.nabla_h(gb.Poly.constant(7)) == gb.Poly.zero()
 
 
+@given(st.dictionaries(_mono, _coef, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_derivation_integer_matches_fraction(terms):
+    ints = gb.Poly(terms)
+    fracs = gb.Poly({m: Fraction(c) for m, c in terms.items()})
+    assert gb.nabla_h(ints) == gb.nabla_h(fracs)
+
+
+def test_monic_of_integer_coefficients():
+    p = gb.Poly({(1, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0): 3})
+    m = p.monic()
+    assert m.terms == {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0): Fraction(3, 2)}
+    assert all(type(c) is Fraction for c in m.terms.values())
+
+
+def test_exact_division_stays_integral():
+    p = (4 * J * a - 6 * b + 2) / 2
+    assert p == 2 * J * a - 3 * b + 1
+    assert all(type(c) is int for c in p.terms.values())
+    assert (J + 1) / 2 == gb.Poly({(1, 0, 0, 0, 0): Fraction(1, 2),
+                                   (0, 0, 0, 0, 0): Fraction(1, 2)})
+
+
 def test_grlex_degree_dominates():
     lo = gb.grlex_key((2, 0, 0, 0, 0))
     hi = gb.grlex_key((1, 1, 1, 0, 0))
@@ -94,6 +117,13 @@ def test_generators_returns_six():
     assert len(gens) == 6
     assert gens[0] == gb.P1_EXPECTED
     assert gens[2] == gb.P3_EXPECTED
+
+
+def test_derivation_is_integral():
+    # the halving that gives P4 is exact, so every derived generator is
+    # an integer polynomial
+    for name, computed, _, _ in gb.generator_table():
+        assert all(type(c) is int for c in computed.terms.values()), name
 
 
 def test_chain_structure():
@@ -119,6 +149,19 @@ def test_buchberger_deterministic():
     b1 = gb.buchberger(gens)
     b2 = gb.buchberger(list(reversed(gens)))
     assert [str(g) for g in b1] == [str(g) for g in b2]
+
+
+def test_buchberger_same_basis_for_integer_fraction_and_mixed_input():
+    gens = gb.generators()
+    fracs = [gb.Poly({m: Fraction(c) for m, c in g.terms.items()})
+             for g in gens]
+    mixed = [g if k % 2 else f for k, (g, f) in enumerate(zip(gens, fracs))]
+    want = gb.buchberger(gens)
+    assert len(want) == 14
+    for gs in (fracs, mixed):
+        got = gb.buchberger(gs)
+        assert got == want
+        assert all(type(c) is Fraction for g in got for c in g.terms.values())
 
 
 def test_buchberger_certificate():
@@ -164,9 +207,9 @@ def test_selection_order_is_pinned():
 
 
 def _rescan_spolys(gens):
-    """The S-pairs a plain rescan reduces, in order: the smallest
-    (grlex key of the lcm, (i, j)) over every pending pair at each step,
-    with the same coprimality and chain criteria."""
+    """The S-pairs a plain rescan over the rationals reduces, in order: the
+    smallest (grlex key of the lcm, (i, j)) over every pending pair at each
+    step, with the same coprimality and chain criteria."""
     basis = [g.monic() for g in gens if g]
     lead = [g.leading()[0] for g in basis]
     pairs = set(combinations(range(len(basis)), 2))
@@ -184,7 +227,10 @@ def _rescan_spolys(gens):
                for k in range(len(basis)) if k not in (i, j)):
             continue
         order.append((str(basis[i]), str(basis[j])))
-        r = gb._reduce(gb._spoly(basis[i], basis[j]), basis)
+        # the monic S-polynomial x^u f - x^v g, in Fractions
+        ui, uj = (gb.Poly({tuple(x - y for x, y in zip(lcm, lead[k])):
+                           Fraction(1)}) for k in (i, j))
+        r = gb.normal_form(ui * basis[i] - uj * basis[j], basis)
         if r:
             basis.append(r.monic())
             lead.append(basis[-1].leading()[0])
@@ -199,7 +245,8 @@ def test_pair_queue_reduces_the_rescan_order(monkeypatch):
     spoly = gb._spoly
 
     def logged(f, g):
-        got.append((str(f), str(g)))
+        # the basis is kept primitive over the integers: compare it monic
+        got.append((str(f.monic()), str(g.monic())))
         return spoly(f, g)
 
     monkeypatch.setattr(gb, "_spoly", logged)
@@ -224,6 +271,31 @@ def test_division_property(q, basis):
     assert total == q
     leads = [g.leading()[0] for g in basis]
     assert not any(_divisible(m, lm) for m in rem.terms for lm in leads)
+
+
+_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def rational_polys(draw, nonzero=False):
+    terms = draw(st.dictionaries(_mono, _fraction, min_size=int(nonzero),
+                                 max_size=4))
+    p = gb.Poly(terms)
+    return p if p or not nonzero else gb.Poly.constant(Fraction(1, 3))
+
+
+@given(rational_polys(), st.lists(rational_polys(nonzero=True), min_size=1,
+                                  max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_division_exact_over_rationals(q, basis):
+    rem, quots = gb.division(q, basis)
+    total = rem
+    for coef, g in zip(quots, basis):
+        total = total + coef * g
+    assert total == q
+    r = gb.normal_form(q, basis)
+    assert r == rem
+    assert gb.normal_form(r, basis) == r
 
 
 # squarefree terms keep every ideal small enough for both Buchberger runs
@@ -258,6 +330,16 @@ def test_buchberger_matches_sympy(gens):
     computed = gb.buchberger(gens)
     assert monic_set(to_sympy(g) for g in computed) == \
         monic_set(reference.exprs)
+
+
+@given(st.lists(_small_poly, min_size=1, max_size=3),
+       st.lists(st.fractions(min_value=-5, max_value=5,
+                             max_denominator=7).filter(bool),
+                min_size=3, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_buchberger_invariant_under_rational_scaling(gens, scales):
+    scaled = [g * k for g, k in zip(gens, scales)]
+    assert gb.buchberger(scaled) == gb.buchberger(gens)
 
 
 def test_resource_limit():
