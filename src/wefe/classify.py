@@ -8,7 +8,9 @@ ill-posed, so decisions follow an explicit tolerance ladder: eigenvalue
 clusters split at sqrt(tol), the rank of the k-th power of A - lambda I
 counts singular values above sqrt(tol) scale^k, with scale =
 max(1, max|A|), and clusters closer than 10*sqrt(tol) raise
-IllConditioned instead of guessing."""
+IllConditioned instead of guessing.  Three or more eigenvalues within
+tol^(1/3) scale of one another, on which A less their mean has index
+at least 3, are one 3x3 block split by round-off, complex or not."""
 
 from __future__ import annotations
 
@@ -67,6 +69,22 @@ def _cluster(vals, gap):
     return clusters
 
 
+def _block_size(A, lam, mult, sq, scale):
+    """The largest Jordan block of ``A`` at ``lam`` of multiplicity
+    ``mult``: the least k with rank (A - lam I)^k <= n - mult.  The k-th
+    power is measured against sq scale^k, as in the nilpotency test, not
+    against its own largest singular value, so a power made only of
+    round-off has rank 0 whatever the chart.  Round-off stays below 1e-10
+    scale^k; a cutoff of 1e-2 scale^k misses ex66-kundt's 3x3 block."""
+    n = A.shape[0]
+    B = A - lam * np.eye(n)
+    k, P = 1, B.copy()
+    while _rank(P, sq * scale ** k) > n - mult and k <= n:
+        k += 1
+        P = P @ B
+    return k
+
+
 def jordan_type(matrix, tol=DEFAULT_TOL):
     """Classify a real matrix from ricci_operator.  Returns
     (type_tag, eigenvalues, nilpotency_degree)."""
@@ -76,11 +94,23 @@ def jordan_type(matrix, tol=DEFAULT_TOL):
     eig = sorted(eig, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     sq = tol ** 0.5
     scale = max(1.0, float(np.max(np.abs(A))))
+    real = np.real(eig)
 
-    if np.any(np.abs(np.imag(eig)) > sq * scale):
+    # a round-off e in A splits a 3x3 block into three eigenvalues about
+    # e^(1/3) apart, two of them complex.  Three or more within the band
+    # tol^(1/3) scale of one eigenvalue, on which A less their mean has
+    # index >= 3, are that block.  Within sqrt(tol) scale / 2 of the mean
+    # the ladder below finds it anyway, so only a wider split is tested
+    z, band = [complex(w) for w in eig], tol ** (1.0 / 3.0) * scale
+    near = max(([abs(w - v) < band for w in z] for v in z), key=sum)
+    trio = [w for w, c in zip(z, near) if c]
+    lam = (sum(trio) / len(trio)).real
+    if (len(trio) >= 3 and max(abs(w - lam) for w in trio) > sq * scale / 2
+            and _block_size(A, lam, len(trio), sq, scale) >= 3):
+        real = np.where(near, lam, real)
+    elif np.any(np.abs(np.imag(eig)) > sq * scale):
         return "I.b", eig, 0
 
-    real = np.real(eig)
     clusters = _cluster(real, sq * scale)
     means = [float(np.mean(real[c])) for c in clusters]
     for i in range(len(means) - 1):
@@ -89,21 +119,8 @@ def jordan_type(matrix, tol=DEFAULT_TOL):
                 f"eigenvalue clusters at {means[i]:.6g} and "
                 f"{means[i + 1]:.6g} are closer than 10*sqrt(tol)")
 
-    max_block = 1
-    for c, lam in zip(clusters, means):
-        mult = len(c)
-        B = A - lam * np.eye(n)
-        # the k-th power of B is measured against sq scale^k, as in the
-        # nilpotency test below, not against its own largest singular
-        # value, so a B^k made only of round-off has rank 0 whatever the
-        # chart.  Round-off stays below 1e-10 scale^k, while a cutoff of
-        # 1e-2 scale^k already misses ex66-kundt's 3x3 block at some points
-        k, P = 1, B.copy()
-        while _rank(P, sq * scale ** k) > n - mult and k <= n:
-            k += 1
-            P = P @ B
-        max_block = max(max_block, k)
-
+    max_block = max(_block_size(A, lam, len(c), sq, scale)
+                    for c, lam in zip(clusters, means))
     tag = {1: "I.a", 2: "II", 3: "III"}.get(max_block, "III")
 
     degree = 0

@@ -26,14 +26,18 @@ component at 100 sample points costs about the same as at one.
 Products have two kernels.  :meth:`JetContext.mul` multiplies jets
 elementwise (expression evaluation, composition).
 :meth:`JetContext.contract` multiplies and sums over one shared tensor
-index in a single step: the jet-matrix product of Griewank & Walther,
-*Evaluating Derivatives*, ch. 13, so the unsummed product over every
-index is never stored.  Up to order 1, the orders the curvature stages
-use, a jet product is a0 b in every coefficient plus a_d b0 in the
-degree-1 ones, so the contraction is two stacked matmuls over the point
-and coefficient axes.  At orders 2 and 3 it gathers the index pairs of
-both operands, sums over the shared index with one stacked matmul, and
-scatters the pairs into the result.
+index in a single step, the jet-matrix product of Griewank & Walther,
+ch. 13, so the unsummed product is never stored.  Up to order 1, the
+orders the curvature stages use, a jet product is a0 b in every
+coefficient plus a_d b0 in the degree-1 ones: two stacked matmuls.  At
+orders 2 and 3 it gathers the index pairs of both operands, sums with
+one stacked matmul, and scatters the pairs into the result.
+
+Derivatives are gathers from tables built once per context:
+:meth:`JetContext.grad` gives all n first partials, one order lower, and
+:meth:`JetContext.hess` the second partials over the pairs p <= q, two
+orders lower.  The curvature stage packs g_ij to i <= j as well, so the
+order-k jets of d_p d_q g_ij are 100 components at n = 4, not 256.
 """
 
 from __future__ import annotations
@@ -307,7 +311,6 @@ class JetContext:
         self.multi_indices = mis
         self.N = len(mis)
         self.index_of = {a: i for i, a in enumerate(mis)}
-        self.degrees = np.array([sum(a) for a in mis])
 
         ti, tj, tk = [], [], []
         for i, a in enumerate(mis):
@@ -324,16 +327,26 @@ class JetContext:
         scatter[np.arange(len(tk)), self._tk] = 1.0
         self._scatter = scatter
 
-        # first-derivative gather: grad(a)[d, ..., t] = a[..., src] * mult,
-        # t running over the multi-indices of degree < order
-        low = [a for a in mis if sum(a) < order]
-        up = [[self.index_of[_unit(n, d, a)] for a in low] for d in range(n)]
-        self._grad_src = np.array(up, dtype=int).reshape(n, len(low))
-        self._grad_mult = np.array(
-            [[a[d] + 1.0 for a in low] for d in range(n)]).reshape(n, len(low))
-
-        self.alpha_factorial = np.array(
+        af = self.alpha_factorial = np.array(
             [np.prod([math.factorial(x) for x in a]) for a in mis], dtype=float)
+
+        # derivative gathers: the jet of d_s a, s a slot (grad) or a pair
+        # p <= q (hess), is a[..., src] * (alpha + e_s)!/alpha!, alpha of
+        # degree <= order - |s|.  Pairs run row by row, as pair_index[p, q]
+        # says; pair_weight (2 off the diagonal) sums a symmetric product
+        def table(slots):
+            low = [a for a in mis if sum(a) + len(slots[0]) <= order]
+            src = np.array([[self.index_of[tuple(
+                x + s.count(d) for d, x in enumerate(a))] for a in low]
+                for s in slots], dtype=int)
+            return src, af[src] / af[:len(low)]
+
+        iu, ju = self.pairs = np.triu_indices(n)
+        self.pair_weight = np.where(iu == ju, 1.0, 2.0)
+        self.pair_index = np.zeros((n, n), dtype=int)
+        self.pair_index[iu, ju] = self.pair_index[ju, iu] = np.arange(len(iu))
+        self._grad = table([(d,) for d in range(n)])
+        self._hess = table(list(zip(iu, ju)))
 
     # -- constructors --------------------------------------------------
 
@@ -347,7 +360,7 @@ class JetContext:
         out = np.zeros(values.shape + (self.N,))
         out[..., 0] = values
         if self.order >= 1:
-            out[..., self.index_of[_unit(self.n, i)]] = 1.0
+            out[..., self._grad[0][i, 0]] = 1.0    # the slot of e_i
         return out
 
     # -- ring operations ------------------------------------------------
@@ -389,9 +402,13 @@ class JetContext:
         derivative axis first: shape (n, ..., N'), where N' counts the
         multi-indices of degree below ``order``, the only coefficients a
         derivative of an order-``order`` jet knows."""
-        d = a.ndim - 1     # the derivative axis of the gathered product
-        return (a[..., self._grad_src] * self._grad_mult).transpose(
-            (d, *range(d), d + 1))
+        return _gather(a, *self._grad)
+
+    def hess(self, a):
+        """Jets of the second partials d_p d_q a, one per pair p <= q as
+        :attr:`pair_index` numbers them, pair axis first: shape
+        (n(n+1)/2, ..., N''), N'' counting the degrees below ``order - 1``."""
+        return _gather(a, *self._hess)
 
     def compose(self, a, derivs):
         """Univariate composition f(a) from the stack ``derivs`` of
@@ -464,19 +481,21 @@ class JetContext:
         return self.power(a, Fraction(1, 2))
 
 
+def _gather(a, src, mult):
+    """a[..., src] * mult, the leading axis of ``src`` first.  In place: a
+    second array of that size costs more in fresh pages than the product."""
+    out = a[..., src]
+    out *= mult
+    d = a.ndim - 1     # the leading axis of src in the gathered product
+    return out.transpose((d, *range(d), d + 1))
+
+
 def _multi_indices(n, deg):
     for c in itertools.combinations_with_replacement(range(n), deg):
         a = [0] * n
         for i in c:
             a[i] += 1
         yield tuple(a)
-
-
-def _unit(n, i, a=None):
-    """The multi-index ``a`` (default 0) plus one in slot ``i``."""
-    a = [0] * n if a is None else list(a)
-    a[i] += 1
-    return tuple(a)
 
 
 # -- evaluation --------------------------------------------------------

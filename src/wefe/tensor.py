@@ -6,31 +6,28 @@ points at once, carrying each stage only to the derivative order that a
 later stage reads.  The jet order k of the curvature stage is the
 Frame's ``order``:
 
-    g                                           order k + 2
-    dg, lowered Christoffel Gamma_kij, h        order k + 1
-    g^-1, Gamma^k_ij, rho, tau, dh              order k
+    g_ij, i <= j                                order k + 2
+    h                                           order k + 1
+    dg, d_p d_q g_ij, Gamma_kij, Gamma^k_ij,
+    g^-1, rho, tau, dh                          order k
     R                                           values
-    J, P                                        order 1, k = 1 only
     Hes_h, d tau, nabla rho, Cotton, Weyl       values, k = 1 only
 
-Verification reads k = 1, the Ricci-type classification k = 0.  The
-field equations and the harmonic-curvature checks read rho and its first
-derivatives, never a derivative of R, so R is formed as values from the
-order-0 slices, and rho comes straight from the symbols: its jets are
-g^il (d_i Gamma_ljk - d_j Gamma_lik) plus a quadratic term in the
-symbols.  The derivatives of the lowered symbols are linear in dg and
-need no contraction, so g^-1 and the raised symbols stop at order k,
-and at k = 1 third metric derivatives (needed by the covariant
-derivative of the Schouten tensor) still come out of the one evaluation
-of g.  That is one :func:`wefe.jets.eval_jets` call over the whole
-component array, which evaluates each shared node (g_ij = g_ji, a
-repeated conformal factor) once; h is a second call.  Every index
-contraction between jets (the Newton step of g^-1, the Christoffel
-raise, R, the three terms of rho, tau and the Hessian correction) is
-one call of :meth:`wefe.jets.JetContext.contract`, and every derivative
-of a stage is one :meth:`wefe.jets.JetContext.grad` gather.  There is no
-single-point API: a query at one point reads index 0 of a one-point
-:class:`Frame` from :func:`frame_at`.
+Verification reads k = 1, the Ricci-type classification k = 0.  No
+stage reads a derivative of R or of the symbols.  One
+:meth:`wefe.jets.JetContext.hess` gather takes the order-k jets of
+d_p d_q g_ij from g, each of the pairs p <= q and i <= j once, and rho's
+linear term comes straight from them: (W + W^T - B - C)/2 with
+W_kj = g^il d_i d_k g_jl, B_jk = g^il d_i d_l g_jk and
+C_jk = g^il d_j d_k g_il, plus the quadratic term in the symbols.  R's
+values are the same second derivatives antisymmetrized, minus the
+quadratic term at order 0.  Since nabla g = 0, nabla P is nabla rho
+less dJ g, over n - 2.  g is one :func:`wefe.jets.eval_jets` call, which
+evaluates each shared node (a repeated conformal factor) once; h is a
+second call.  Every index contraction between jets is one call of
+:meth:`wefe.jets.JetContext.contract`.  There is no single-point API: a
+query at one point reads index 0 of a one-point :class:`Frame` from
+:func:`frame_at`.
 
 Curvature sign conventions are frozen in :mod:`wefe.constants`: the
 valence-4 curvature is R(X,Y,Z,U) = g((nabla_[X,Y] - [nabla_X,
@@ -135,85 +132,85 @@ class Frame:
         # one context per truncation order, stages as in the module
         # docstring; truncating a jet to order k is the slice [..., :N_k]
         ck2, ck1, ck = (J.jet_context(n, k + d) for d in (2, 1, 0))
-        c0, Nk = J.jet_context(n, 0), ck.N
+        c0, Nk, S = J.jet_context(n, 0), ck.N, ck.pair_index
+        iu, ju = ck.pairs
 
         def values(a):
             """(comp..., m, N) jets -> (m, comp...) values."""
             v = a[..., 0]
             return v.transpose(v.ndim - 1, *range(v.ndim - 1))
 
-        # metric jets, order k + 2, each shared node evaluated once
-        gJ = J.eval_jets(spec.g, pts, ck2)
-        self.g0 = values(gJ)
+        # metric jets g_ij, i <= j, at order k + 2, each shared node
+        # evaluated once; S unpacks a pair axis to (i, j)
+        gP = J.eval_jets([spec.g[i][j] for i in range(n)
+                          for j in range(i, n)], pts, ck2)
+        gk = gP[..., :Nk][S]
+        self.g0 = values(gk)
 
-        det = np.linalg.det(self.g0)
-        if np.any(np.abs(det) < _DET_TOL) or not np.all(np.isfinite(det)):
-            raise SingularMetric(
-                f"{spec.name}: |det g| < {_DET_TOL} at a sample point")
-        eig = np.linalg.eigvalsh(self.g0)
-        neg = np.sum(eig < 0.0, axis=1)
-        want = 1 if spec.signature == "lorentzian" else 0
-        if np.any(neg != want):
-            raise SignatureMismatch(
-                f"{spec.name}: eigenvalue signs do not match "
-                f"{spec.signature} tag")
+        _require(np.abs(np.linalg.det(self.g0)) >= _DET_TOL, pts,
+                 SingularMetric, f"{spec.name}: |det g| < {_DET_TOL}")
+        _require(np.sum(np.linalg.eigvalsh(self.g0) < 0.0, axis=1)
+                 == (spec.signature == "lorentzian"), pts, SignatureMismatch,
+                 f"{spec.name}: eigenvalue signs do not match "
+                 f"{spec.signature} tag")
 
         # order-k jet-ring metric inverse: one Newton step X(2 - gX) from
         # the numeric inverse doubles the exact order from 0 to 1.  It is
         # taken at order 0 too, so every order-0 field is bit-identical
         # to the order-1 one
-        gk = gJ[..., :Nk]
         ginv0 = np.linalg.inv(self.g0)
         X = np.zeros_like(gk)
         X[..., 0] = ginv0.transpose(1, 2, 0)
         ginvJ = 2.0 * X - ck.contract(X, ck.contract(gk, X))
         self.ginv0 = ginv0
 
-        # Christoffel symbols: lowered, linear in dg, as order-(k + 1)
-        # jets; raised as order-k jets
-        dgJ = ck2.grad(gJ)  # [a, i, j] = d_a g_ij
-        lowJ = 0.5 * (dgJ.transpose(2, 0, 1, 3, 4)
+        # Christoffel symbols as order-k jets, lowered and raised
+        dgJ = ck1.grad(gP[..., :ck1.N])[:, S]  # [a, i, j] = d_a g_ij
+        lowk = 0.5 * (dgJ.transpose(2, 0, 1, 3, 4)
                       + dgJ.transpose(2, 1, 0, 3, 4)
                       - dgJ)  # low[k, i, j] = G_kij
-        lowk = lowJ[..., :Nk]
         upJ = ck.contract(ginvJ, lowk)  # up[k, i, j] = Gamma^k_ij
         self.gamma0 = values(upJ)     # (m, k, i, j)
-        dlow = ck1.grad(lowJ)         # [i, l, j, k] = d_i G_ljk
 
-        # curvature R~(i,j,k,l) = comp[l, i, j, k] as values, from the
-        # order-0 slices: comp = D - (D with i <-> j), where
-        # D[l, i, j, k] = d_i G_ljk - G_sil Gamma^s_jk
-        low0, up0 = lowk[..., :1], upJ[..., :1]
-        D = (dlow[..., :1].transpose(1, 0, 2, 3, 4, 5)
-             - c0.contract(low0.transpose(2, 1, 0, 3, 4), up0))
-        comp = D - D.transpose(0, 2, 1, 3, 4, 5)
-        self.riemann0 = RIEMANN_SIGN * values(
-            comp.transpose(1, 2, 3, 0, 4, 5))    # (m, i, j, k, l)
+        # second metric derivatives as order-k jets, each pair once:
+        # d2[pq, ij] = d_p d_q g_ij for p <= q and i <= j, unpacked to
+        # F[i, j, k, l] = d_i d_k g_jl, which is symmetric in (j, l)
+        d2 = ck2.hess(gP)
+        F = d2[S[:, None, :, None], S[None, :, None, :]]
 
-        # Ricci as order-k jets straight from the symbols, the trace
-        # g^il R~(i, j, k, l):
-        #   ric_jk = g^il (d_i G_ljk - d_j G_lik)
-        #            + (Y[i, s, j] - delta_ij v_s) Gamma^s_ik,
-        # Y[i, s, j] = g^il G_sjl and v_s = Y[i, s, i].  The quadratic
-        # term is one contraction over the flattened pair (i, s)
+        # curvature R~(i,j,k,l) = D - (D with i <-> j) as values, where
+        # D[i, j, k, l] = (F[i, j, k, l] - F[i, j, l, k])/2 - G_sil Gamma^s_jk
+        D = (0.5 * (F[..., 0] - F[..., 0].transpose(0, 1, 3, 2, 4))
+             - c0.contract(lowk[..., :1].transpose(2, 1, 0, 3, 4),
+                           upJ[..., :1])[..., 0].transpose(1, 2, 3, 0, 4))
+        self.riemann0 = RIEMANN_SIGN * (D - D.transpose(1, 0, 2, 3, 4)
+                                        ).transpose(4, 0, 1, 2, 3)
+
+        # Ricci as order-k jets, the trace g^il R~(i, j, k, l):
+        #   ric_jk = (W_kj + W_jk - B_jk - C_jk)/2
+        #            + (Y[i, s, j] - delta_ij v_s) Gamma^s_ik
+        # with W_kj = g^il F[i, l, k, j], B_jk + C_jk = g^il (d_i d_l g_jk
+        # + d_j d_k g_il) summed over the pairs i <= l, Y[i, s, j] =
+        # g^il G_sjl and v_s = Y[i, s, i]
         ginvk = ginvJ.reshape(n * n, m, Nk)
-        E = dlow - dlow.transpose(2, 1, 0, 3, 4, 5)
+        gw = ginvJ[iu, ju] * ck.pair_weight[:, None, None]
+        W = ck.contract(ginvk, F.reshape(n * n, n, n, m, Nk))
+        BC = ck.contract(gw, d2 + d2.transpose(1, 0, 2, 3))[S]
         Y = ck.contract(ginvJ, lowk.transpose(2, 0, 1, 3, 4))
         diag = np.arange(n)
         Y[diag, :, diag] -= np.trace(Y, axis1=0, axis2=2)
         Yt = Y.transpose(2, 0, 1, 3, 4).reshape(n, n * n, m, Nk)
         upt = upJ.transpose(1, 0, 2, 3, 4).reshape(n * n, n, m, Nk)
-        ricJ = RICCI_SIGN * (
-            ck.contract(ginvk, E.reshape(n * n, n, n, m, Nk))
-            + ck.contract(Yt, upt))
+        ricJ = RICCI_SIGN * (0.5 * (W + W.transpose(1, 0, 2, 3) - BC)
+                             + ck.contract(Yt, upt))
         tauJ = ck.contract(ginvk, ricJ.reshape(n * n, m, Nk))
         self.ric0 = values(ricJ)                 # (m, i, j)
         self.tau0 = values(tauJ)                 # (m,)
 
         # density: h at order k + 1, dh at order k
         hJ = J.eval_jets(spec.h, pts, ck1)
-        if np.any(hJ[..., 0] <= 0.0):
-            raise DomainError(f"{spec.name}: density not positive on box")
+        _require(hJ[..., 0] > 0.0, pts, DomainError,
+                 f"{spec.name}: density not positive")
         self.h0 = values(hJ)
         dhJ = ck1.grad(hJ)
         self.dh = values(dhJ)                    # (m, a)
@@ -230,19 +227,22 @@ class Frame:
         self.hes0 = values(hesJ)                 # (m, i, j)
         self.lap0 = np.einsum("mij,mij->m", ginv0, self.hes0)
 
-        # Schouten tensor jets and its covariant derivative values
-        nn = float(n)
-        jJ = tauJ / (2.0 * (nn - 1.0))           # scalar J jets
-        pJ = (ricJ - ck.mul(jJ[None, None], gk)) / (nn - 2.0)
-        p0 = values(pJ)
-        self.scalar_j0 = values(jJ)
-        cp = _cov2(p0, values(ck.grad(pJ)), self.gamma0)  # (m, a, b, c)
-        self.cov_ric = _cov2(self.ric0, values(ck.grad(ricJ)),
-                             self.gamma0)
+        # cov_ric[a, b, c] = (nabla_a rho)(b, c), from d rho and Gamma
+        G, r0 = self.gamma0, self.ric0
+        self.cov_ric = (values(ck.grad(ricJ))
+                        - np.einsum("msab,msc->mabc", G, r0)
+                        - np.einsum("msac,mbs->mabc", G, r0))
+
+        # Schouten tensor P = (rho - J g)/(n - 2), J = tau/(2(n - 1)),
+        # and since nabla g = 0, cp = (n - 2) nabla P = nabla rho - dJ g
+        self.scalar_j0 = self.tau0 / (2.0 * (n - 1.0))
+        p0 = (r0 - self.scalar_j0[:, None, None] * self.g0) / (n - 2.0)
+        cp = self.cov_ric - np.einsum("ma,mbc->mabc",
+                                      self.d_tau / (2.0 * (n - 1.0)), self.g0)
 
         # Cotton tensor dP(X,Y,Z), stored [x, y, z]
-        self.cotton0 = (nn - 2.0) * (np.einsum("myxz->mxyz", cp)
-                                     - np.einsum("mzxy->mxyz", cp))
+        self.cotton0 = (np.einsum("myxz->mxyz", cp)
+                        - np.einsum("mzxy->mxyz", cp))
 
         # Weyl
         if n >= 4:
@@ -251,14 +251,13 @@ class Frame:
             self.weyl0 = None
 
 
-def _cov2(t0, dt, gamma0):
-    """Covariant derivative of a valence-2 tensor from values.
-
-    t0: (m, b, c); dt: (m, a, b, c) coordinate derivatives;
-    gamma0: (m, k, i, j).  Returns (m, a, b, c) = (nabla_a t)(b, c)."""
-    corr1 = np.einsum("msab,msc->mabc", gamma0, t0)
-    corr2 = np.einsum("msac,mbs->mabc", gamma0, t0)
-    return dt - corr1 - corr2
+def _require(ok, pts, error, msg):
+    """Raise ``error`` naming the index and coordinates of the first point
+    where ``ok`` fails (a NaN fails every comparison)."""
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise error(f"{msg} at sample point {i} "
+                    f"({', '.join(f'{x:.6g}' for x in pts[i])})")
 
 
 def kn_product(A, B):

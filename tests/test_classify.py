@@ -231,6 +231,32 @@ def test_ricci_type_is_chart_independent(index, entry):
                                        atol=1e-9 * weighted.solution_scale(fr))
 
 
+def test_triple_block_survives_round_off_in_rho():
+    # at this pullback of ex66-kundt the 3x3 block of g^-1 rho splits into
+    # a real eigenvalue and a complex pair near the sqrt(tol) scale
+    # threshold, so the last bits of rho used to decide between I.b,
+    # IllConditioned and III.  The manifest's chart gives III there.  The
+    # noise runs from the size of a change in the order of summation
+    # (1e-13) to sizes that tagged most draws I.b before the cube-root band
+    spec = catalog.build("ex66-kundt")
+    index = [e.entry_id for e in catalog.list_entries()].index("ex66-kundt")
+    A, b = _charts(spec.n, np.random.default_rng([11, index]))[2]
+    x = np.array([0.84375, 0.74444, 0.7732, 0.05435])
+    assert classify.classify(spec, x).type_tag == "III"
+    y0 = np.linalg.solve(A, x - b)
+    fr = tensor.frame_at(_affine_pullback(spec, A, b, y0), y0[None], 0)
+    rho, ginv = fr.ric0[0], fr.ginv0[0]
+    assert classify.jordan_type(ginv @ rho)[0::2] == ("III", 3)
+    rng = np.random.default_rng(17)
+    for size in (1e-13, 1e-11, 1e-9):
+        for _ in range(20):
+            noise = rng.normal(size=(4, 4))
+            noise += noise.T
+            noise *= size * np.abs(rho).max() / np.abs(noise).max()
+            got = classify.jordan_type(ginv @ (rho + noise))
+            assert got[0::2] == ("III", 3), size
+
+
 # ------------------------------------------------------------ optical scalars
 
 def test_planewave_kundt_scalars_vanish():

@@ -220,6 +220,24 @@ def test_grad_is_the_derivative_of_every_coefficient():
                 grad[i, :, t], (alpha[i] + 1) * a[:, ctx.index_of[up]])
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_hess_is_grad_of_grad(n, k):
+    # the packed second-derivative gather of an order-(k + 2) jet equals
+    # two first-derivative gathers, for both orders (p, q) and (q, p) of
+    # each pair
+    ctx, mid = jet_context(n, k + 2), jet_context(n, k + 1)
+    a = np.random.default_rng([n, k]).uniform(-2.0, 2.0, (2, 3, ctx.N))
+    hess, twice = ctx.hess(a), mid.grad(ctx.grad(a))
+    assert hess.shape == (n * (n + 1) // 2, 2, 3, jet_context(n, k).N)
+    assert sorted(np.unique(ctx.pair_index)) == list(range(len(hess)))
+    for p in range(n):
+        for q in range(n):
+            got = hess[ctx.pair_index[p, q]]
+            assert np.abs(got - twice[p, q]).max() <= 1e-15 * np.abs(
+                twice[p, q]).max()
+
+
 def test_compose_skips_products_that_truncate_to_zero(monkeypatch):
     # delta has no constant term, so delta^2 and delta^3 vanish below
     # orders 2 and 3: compose forms them only where they survive, and
@@ -272,9 +290,9 @@ def test_contract_matches_summed_mul(n, k, lead_a, lead_b, s, m, seed):
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_contract_takes_transposed_views(n, k):
-    # Frame passes transposed, truncated views of higher-order jets, as in
-    # contract(ginv, low[..., :N].transpose(2, 0, 1, 3, 4)); the result
-    # equals the summed mul of contiguous copies
+    # Frame passes transposed views, as in contract(ginv,
+    # low.transpose(2, 0, 1, 3, 4)), here also truncated from a higher
+    # order; the result equals the summed mul of contiguous copies
     ctx, m = jet_context(n, k), 3
     rng = np.random.default_rng([n, k])
     ginv = rng.uniform(-2.0, 2.0, (n, n, m, ctx.N))

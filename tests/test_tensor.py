@@ -3,8 +3,9 @@ import pytest
 
 from wefe import catalog, tensor
 from wefe.constants import RICCI_SIGN, RIEMANN_SIGN
-from wefe.errors import DimensionError, SignatureMismatch, SingularMetric
-from wefe.jets import const, coord, exp, parse_sexpr
+from wefe.errors import (DimensionError, DomainError, SignatureMismatch,
+                         SingularMetric)
+from wefe.jets import const, coord, exp, parse_sexpr, sin
 from wefe.sampling import sample_box
 from wefe.tensor import (Frame, frame_at, kn_product, make_spec,
                          multiply_warped_ricci, warped_ricci)
@@ -151,6 +152,108 @@ def test_first_derivatives_match_central_differences(build):
         assert np.abs(got - want).max() <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("build", [
+    lambda: catalog.build("ex37-warped3d"),
+    lambda: catalog.build("ex52-liegroup"),
+    bumpy_spec], ids=["ex37-warped3d", "ex52-liegroup", "bumpy"])
+def test_cotton_matches_central_differences_of_schouten(build):
+    # cotton0[x, y, z] = (n - 2)(nabla_y P_xz - nabla_z P_xy), which is
+    # d_y P_xz - d_z P_xy - Gamma^s_yx P_sz + Gamma^s_zx P_sy, against
+    # central differences of P = (rho - J g)/(n - 2) from order-0 Frames
+    # at p +- h e_a.  Frame takes nabla P from nabla rho and d tau instead
+    spec = build()
+    pts = sample_box(spec.box, 6, 0)
+    n, m, h = spec.n, len(pts), 1e-4
+
+    def schouten(fr):
+        J = fr.tau0 / (2.0 * (n - 1.0))
+        return (fr.ric0 - J[:, None, None] * fr.g0) / (n - 2.0)
+
+    fr = Frame(spec, pts)
+    P, G = schouten(fr), fr.gamma0
+    step = h * np.eye(n)
+    shifted = np.concatenate([pts[:, None] + step, pts[:, None] - step])
+    p_pm = schouten(Frame(spec, shifted.reshape(-1, n), 0)).reshape(
+        2, m, n, n, n)
+    dP = (p_pm[0] - p_pm[1]) / (2.0 * h)         # dP[m, a, b, c] = d_a P_bc
+    want = (n - 2.0) * (np.einsum("myxz->mxyz", dP)
+                        - np.einsum("mzxy->mxyz", dP)
+                        - np.einsum("msyx,msz->mxyz", G, P)
+                        + np.einsum("mszx,msy->mxyz", G, P))
+    scale = max(1.0, np.abs(want).max())
+    assert np.abs(fr.cotton0 - want).max() <= 1e-6 * scale
+
+
+def sphere_spec(n, r):
+    # stereographic chart of S^n(r): g = 4 r^4 / (r^2 + |x|^2)^2 delta
+    x = [coord(i) for i in range(n)]
+    q = const(r * r)
+    for xi in x:
+        q = q + xi * xi
+    conf = const(4.0 * r ** 4) * q ** -2
+    return make_spec(f"sphere{n}", n, {(i, i): conf for i in range(n)},
+                     const(1), [(-0.5, 0.5)] * n, "riemannian")
+
+
+def warped_spec(n):
+    # -dt^2 + f(t)^2 delta on R^(n-1), f = 3/2 + sin t
+    f = const(1.5) + sin(coord(0))
+    g = {(i, i): f * f for i in range(1, n)}
+    g[(0, 0)] = const(-1)
+    return make_spec(f"warped{n}", n, g, const(2) + coord(1),
+                     [(-0.5, 0.5)] * n, "lorentzian")
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("n", [5, 6])
+def test_round_sphere_in_dimensions_5_and_6(n, order):
+    r = 1.5
+    fr = Frame(sphere_spec(n, r), sample_box([(-0.5, 0.5)] * n, 8, 0), order)
+    np.testing.assert_allclose(fr.ric0, (n - 1) / r ** 2 * fr.g0, atol=1e-12)
+    np.testing.assert_allclose(fr.tau0, n * (n - 1) / r ** 2, rtol=1e-12)
+    if order:
+        assert np.abs(fr.d_tau).max() < 1e-11
+        assert np.abs(fr.weyl0).max() < 1e-11
+        assert np.abs(fr.cotton0).max() < 1e-11
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("n", [5, 6])
+def test_lorentzian_warped_product_in_dimensions_5_and_6(n, order):
+    pts = sample_box([(-0.5, 0.5)] * n, 8, 0)
+    fr = Frame(warped_spec(n), pts, order)
+    d = n - 1
+    for p, ric in zip(pts, fr.ric0):
+        t = p[0]
+        want = multiply_warped_ricci(-1.0, [(
+            1.5 + np.sin(t), np.cos(t), -np.sin(t), np.zeros((d, d)),
+            np.eye(d))])
+        np.testing.assert_allclose(ric, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("build", [
+    lambda: sphere_spec(5, 1.5), lambda: sphere_spec(6, 0.75),
+    lambda: warped_spec(5), lambda: warped_spec(6)],
+    ids=["sphere5", "sphere6", "warped5", "warped6"])
+def test_riemann_symmetries_and_ricci_trace_in_dimensions_5_and_6(build,
+                                                                  order):
+    spec = build()
+    fr = Frame(spec, sample_box(spec.box, 8, 0), order)
+    R = fr.riemann0
+    np.testing.assert_allclose(R, -np.swapaxes(R, 1, 2), atol=1e-12)
+    np.testing.assert_allclose(R, -np.swapaxes(R, 3, 4), atol=1e-12)
+    np.testing.assert_allclose(R, np.transpose(R, (0, 3, 4, 1, 2)),
+                               atol=1e-12)
+    bianchi = (R + np.transpose(R, (0, 2, 3, 1, 4))
+               + np.transpose(R, (0, 3, 1, 2, 4)))
+    assert np.abs(bianchi).max() < 1e-12
+    want = RICCI_SIGN * np.einsum("mil,mijkl->mjk", fr.ginv0,
+                                  RIEMANN_SIGN * R)
+    assert np.abs(fr.ric0 - want).max() <= 1e-12 * max(1.0,
+                                                      np.abs(want).max())
+
+
 def test_contracted_bianchi():
     spec = catalog.build("ex66-kundt")
     pts = sample_box(spec.box, 5, 1)
@@ -198,20 +301,47 @@ def test_hessian_of_coordinate_in_flat_space():
     assert np.abs(hes).max() < 1e-13  # h = 2 + x is affine
 
 
+def _x_spec(name, g00, h):
+    # diag(g00, 1, 1) on a 3D chart, Riemannian
+    g = {(0, 0): g00, (1, 1): const(1), (2, 2): const(1)}
+    return make_spec(name, 3, g, h, [(-0.5, 0.5)] * 3, "riemannian",
+                     ("x", "y", "z"))
+
+
+# the first point is fine, the second fails: the error names index 1
+_TWO_POINTS = np.array([[0.25, 0.0, 0.0], [-0.5, 0.125, -0.25]])
+_SECOND = r"sample point 1 \(-0.5, 0.125, -0.25\)"
+
+
 def test_singular_metric_raises():
-    g = {(0, 0): coord(0), (1, 1): const(1), (2, 2): const(1)}
-    spec = make_spec("sing", 3, g, const(1), [(-0.5, 0.5)] * 3,
-                     "riemannian", ("x", "y", "z"))
-    with pytest.raises((SingularMetric, SignatureMismatch)):
+    spec = _x_spec("sing", coord(0), const(1))
+    with pytest.raises((SingularMetric, SignatureMismatch),
+                       match=r"sample point 0 \(0, 0, 0\)"):
         Frame(spec, np.array([[0.0, 0.0, 0.0]]))
+    pts = _TWO_POINTS.copy()
+    pts[1, 0] = 0.0
+    with pytest.raises(SingularMetric,
+                       match=r"sing: .* sample point 1 \(0, 0.125, -0.25\)"):
+        Frame(spec, pts)
 
 
 def test_signature_mismatch_raises():
     g = {(0, 0): const(-1), (1, 1): const(1), (2, 2): const(1)}
     spec = make_spec("wrong", 3, g, const(1), [(-0.5, 0.5)] * 3,
                      "riemannian", ("t", "x", "y"))
-    with pytest.raises(SignatureMismatch):
+    with pytest.raises(SignatureMismatch,
+                       match=r"sample point 0 \(0, 0, 0\)"):
         Frame(spec, np.zeros((1, 3)))
+    spec = _x_spec("flip", coord(0), const(1))
+    with pytest.raises(SignatureMismatch, match=r"flip: .* " + _SECOND):
+        Frame(spec, _TWO_POINTS)
+
+
+def test_non_positive_density_raises():
+    spec = _x_spec("dens", const(1), coord(0))
+    with pytest.raises(DomainError,
+                       match=r"dens: density not positive at " + _SECOND):
+        Frame(spec, _TWO_POINTS)
 
 
 def test_dimension_bounds():
