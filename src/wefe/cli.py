@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import __version__, catalog, classify, constants, groebner, ode, weighted
-from .errors import VanishingGradient, WefeError
+from .errors import InadmissibleConstants, VanishingGradient, WefeError
 from .sampling import resolve_seed, sample_box
 
 EXIT_OK = 0
@@ -200,6 +200,16 @@ def cmd_groebner(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+@functools.cache
+def _branch_params(branch):
+    """(all, required) parameter names of a branch's closed form, in
+    signature order; t is the span's."""
+    signature = inspect.signature(ode.BRANCHES[branch]).parameters
+    names = tuple(k for k in signature if k != "t")
+    return names, tuple(k for k in names
+                        if signature[k].default is inspect.Parameter.empty)
+
+
 def cmd_ode(args) -> int:
     params = {}
     for kv in args.param or []:
@@ -213,12 +223,9 @@ def cmd_ode(args) -> int:
             sys.stderr.write(f"error: bad --param {kv!r}, value is not "
                              f"a number\n")
             return EXIT_BAD_INPUT
-    # the branch's closed form names its parameters; t is the span's
-    signature = inspect.signature(ode.BRANCHES[args.branch]).parameters
-    names = [k for k in signature if k != "t"]
+    names, required = _branch_params(args.branch)
     unknown = [k for k in params if k not in names]
-    missing = [k for k in names if k not in params
-               and signature[k].default is inspect.Parameter.empty]
+    missing = [k for k in required if k not in params]
     if unknown or missing:
         what = (f"unknown --param {unknown[0]}" if unknown
                 else f"missing --param {missing[0]}")
@@ -244,6 +251,9 @@ def cmd_ode(args) -> int:
         traj = ode.integrate(state, t1)
     except WefeError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        # constants the closed form does not solve with are bad input
+        if isinstance(exc, InadmissibleConstants):
+            return EXIT_BAD_INPUT
         return EXIT_EVAL
     drift_gamma, drift_kappa = traj.max_drift()
     dev = 0.0

@@ -59,6 +59,12 @@ class ParameterOutOfRange(WefeError):
         self.constraint = constraint
 
 
+class InadmissibleConstants(ParameterOutOfRange):
+    """Closed-form constants with which the branch does not solve the ODE
+    system.  These are bad input; an excluded (flat) configuration, which
+    does solve it, is an evaluation failure."""
+
+
 class GeneratorMismatch(WefeError):
     """A generated polynomial disagrees with its reference form."""
 

@@ -366,7 +366,6 @@ class JetContext:
     # -- ring operations ------------------------------------------------
 
     def mul(self, a, b):
-        a, b = np.broadcast_arrays(a, b)
         prod = a[..., self._ti] * b[..., self._tj]
         return prod @ self._scatter
 

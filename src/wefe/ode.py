@@ -9,12 +9,15 @@ Both quantities must stay positive along accepted trajectories.  Two first
 integrals (gamma and the recovered fiber curvature kappa) are conserved and
 used as drift diagnostics.
 
-The Dormand-Prince 5(4) loop (J. Comput. Appl. Math. 6, 1980) carries the
-state and its seven stages as plain float 4-tuples.  Each stage sum runs
-left to right from 0 over every tableau coefficient, the order in which
-numpy summed the same 4-vectors, so trajectories are bit for bit those of
-an array implementation.  Every stage state is built with the positional
-``OdeState`` constructor and evaluated through :func:`rhs`.
+States are ``OdeState`` named tuples.  The Dormand-Prince 5(4) loop
+(J. Comput. Appl. Math. 6, 1980) carries the state and its seven stages as
+plain float 4-tuples, and each tableau row (six stages, the 5th- and the
+4th-order solution) is one straight-line function, built once from the
+tableau.  A row sums left to right from 0 over every coefficient, zeros
+included, the order in which numpy sums the same 4-vectors, so
+trajectories are bit for bit those of an array implementation.  Every
+stage state is built with the positional ``OdeState`` constructor and
+evaluated through :func:`rhs`.
 """
 
 from __future__ import annotations
@@ -22,17 +25,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DegenerateState, ParameterOutOfRange, StepFailure
+from .errors import (DegenerateState, InadmissibleConstants,
+                     ParameterOutOfRange, StepFailure)
 
 H_FLOOR = 1e-12
 TERMINATION_FLOOR = 1e-9
 DEFAULT_TOL = 1e-10
 BRANCH_DEADBAND = 1e-12
+GAMMA_RTOL = 1e-12   # of the gamma = 0 rule on the warped branch at n != 4
 
 
-@dataclass(frozen=True)
-class OdeState:
+class OdeState(NamedTuple):
     t: float
     h: float
     hp: float
@@ -87,6 +92,26 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
           -92097 / 339200, 187 / 2100, 1 / 40)
 
 
+def _row(coeffs):
+    """Straight-line ``row(y, dt, k0, k1, ...)`` = y + dt * sum(c_j k_j)
+    for one tableau row.  Each component sums left to right from 0 over
+    every coefficient, zeros too, as numpy sums 4-vectors; ``repr`` spells
+    each coefficient exactly."""
+    ks = [f"k{j}" for j in range(len(coeffs))]
+    parts = [f"y[{i}] + dt * (0" + "".join(
+        f" + {c!r} * {k}[{i}]" for c, k in zip(coeffs, ks)) + ")"
+        for i in range(4)]
+    namespace = {}
+    exec(f"def row(y, dt, {', '.join(ks)}):\n"
+         f"    return ({', '.join(parts)})\n", namespace)
+    return namespace["row"]
+
+
+_DP_STAGES = tuple(_row(a) for a in _DP_A[1:])   # k1 .. k6
+_DP_Y5 = _row(_DP_B5)
+_DP_Y4 = _row(_DP_B4)
+
+
 @dataclass
 class Trajectory:
     states: list
@@ -139,23 +164,27 @@ def integrate(state: OdeState, t_end: float, tol: float = DEFAULT_TOL,
         hpp, phipp = f(OdeState(ts, h, hp, phi, phip, n, eps, tau, kappa))
         return hp, hpp, phip, phipp
 
+    s1, s2, s3, s4, s5, s6 = _DP_STAGES
+    _, c1, c2, c3, c4, c5, c6 = _DP_C
     states = [state]
-    k = [None] * 7
-    k[0] = stage(t, *y)
+    k0 = stage(t, *y)
     for _ in range(max_steps):
         if abs(dt) < 1e-14 * max(1.0, abs(t)):
             raise StepFailure(f"step size underflow at t={t!r}")
         if direction * (t + dt - t_end) > 0:
             dt = t_end - t
         try:
-            for i in range(1, 7):
-                k[i] = stage(t + _DP_C[i] * dt,
-                             *_advance(y, dt, _DP_A[i], k))
+            k1 = stage(t + c1 * dt, *s1(y, dt, k0))
+            k2 = stage(t + c2 * dt, *s2(y, dt, k0, k1))
+            k3 = stage(t + c3 * dt, *s3(y, dt, k0, k1, k2))
+            k4 = stage(t + c4 * dt, *s4(y, dt, k0, k1, k2, k3))
+            k5 = stage(t + c5 * dt, *s5(y, dt, k0, k1, k2, k3, k4))
+            k6 = stage(t + c6 * dt, *s6(y, dt, k0, k1, k2, k3, k4, k5))
         except DegenerateState:
             dt *= 0.5
             continue
-        y5 = _advance(y, dt, _DP_B5, k)
-        y4 = _advance(y, dt, _DP_B4, k)
+        y5 = _DP_Y5(y, dt, k0, k1, k2, k3, k4, k5, k6)
+        y4 = _DP_Y4(y, dt, k0, k1, k2, k3, k4, k5, k6)
         errs = [abs(u - v) / (tol * (1.0 + abs(w)))
                 for u, v, w in zip(y5, y4, y)]
         if math.isnan(sum(errs)):
@@ -166,7 +195,7 @@ def integrate(state: OdeState, t_end: float, tol: float = DEFAULT_TOL,
         if err <= 1.0:
             t = t + dt
             y = y5
-            k[0] = k[6]  # FSAL
+            k0 = k6  # FSAL
             states.append(OdeState(t, *y, n, eps, tau, kappa))
             if y[0] < TERMINATION_FLOOR or y[2] < TERMINATION_FLOOR:
                 return Trajectory(states, True)
@@ -175,18 +204,6 @@ def integrate(state: OdeState, t_end: float, tol: float = DEFAULT_TOL,
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         dt *= min(5.0, max(0.2, factor))
     raise StepFailure(f"no convergence within {max_steps} steps")
-
-
-def _advance(y, dt, coeffs, k):
-    """y + dt * sum(c_j k_j), each component summed left to right from 0
-    over every coefficient (zeros too), as numpy sums 4-vectors."""
-    s0 = s1 = s2 = s3 = 0
-    for c, kj in zip(coeffs, k):
-        s0 = s0 + c * kj[0]
-        s1 = s1 + c * kj[1]
-        s2 = s2 + c * kj[2]
-        s3 = s3 + c * kj[3]
-    return (y[0] + dt * s0, y[1] + dt * s1, y[2] + dt * s2, y[3] + dt * s3)
 
 
 def direct_product_state(eps: float, kappa: float, c1: float, c2: float,
@@ -218,25 +235,44 @@ def warped_state(eps: float, tau: float, kappa: float, c1: float, c2: float,
                  A: float, t: float, n: int = 4) -> OdeState:
     """Closed form for the warped branch h = A phi'.
 
-    phi^2 is selected by the sign of eps*tau (dead-band 1e-12 maps to the
-    tau = 0 polynomial form eps*kappa t^2 + c1 t + c2).
+    phi^2 is selected by the sign of eps*tau: C + c1 sin(wt) + c2 cos(wt)
+    or C + c1 e^(wt) + c2 e^(-wt), with w^2 = 4|eps tau|/(n(n-1)) and
+    C = n(n-1) kappa/(2 tau).  A dead-band of 1e-12 maps to the tau = 0
+    polynomial form eps*kappa t^2 + c1 t + c2.  At n = 4 every c1, c2
+    solve the system; in other dimensions the closed form needs the first
+    integral gamma = 0, that is c1^2 + c2^2 = C^2 (eps tau > 0) or
+    4 c1 c2 = C^2 (eps tau < 0), and at tau = 0 only the flat case, which
+    is excluded, is left.  Other constants raise InadmissibleConstants.
     """
     et = eps * tau
-    if et > BRANCH_DEADBAND:
-        w = math.sqrt(et / 3.0)
-        F = 6.0 * kappa / tau + c1 * math.sin(w * t) + c2 * math.cos(w * t)
-        Fp = w * (c1 * math.cos(w * t) - c2 * math.sin(w * t))
-        Fpp = -w * w * (F - 6.0 * kappa / tau)
-    elif et < -BRANCH_DEADBAND:
-        w = math.sqrt(-et / 3.0)
-        F = 6.0 * kappa / tau + c1 * math.exp(w * t) + c2 * math.exp(-w * t)
-        Fp = w * (c1 * math.exp(w * t) - c2 * math.exp(-w * t))
-        Fpp = w * w * (F - 6.0 * kappa / tau)
+    if abs(et) > BRANCH_DEADBAND:
+        w = math.sqrt(4.0 * abs(et) / (n * (n - 1)))
+        C = n * (n - 1) * kappa / (2.0 * tau)
+        rule, lhs = (("c1^2 + c2^2 = C^2", c1 * c1 + c2 * c2) if et > 0
+                     else ("4 c1 c2 = C^2", 4.0 * c1 * c2))
+        if n != 4 and abs(lhs - C * C) > GAMMA_RTOL * max(1.0, C * C):
+            raise InadmissibleConstants(
+                f"warped branch at n={n} needs gamma = 0, that is {rule} "
+                f"with C = n(n-1) kappa/(2 tau) = {C!r}; got {lhs!r} "
+                f"against C^2 = {C * C!r}", rule)
+        if et > 0:
+            F = C + c1 * math.sin(w * t) + c2 * math.cos(w * t)
+            Fp = w * (c1 * math.cos(w * t) - c2 * math.sin(w * t))
+            Fpp = -w * w * (F - C)
+        else:
+            F = C + c1 * math.exp(w * t) + c2 * math.exp(-w * t)
+            Fp = w * (c1 * math.exp(w * t) - c2 * math.exp(-w * t))
+            Fpp = w * w * (F - C)
     else:
         ek = eps * kappa
         if abs(c1 * c1 - 4.0 * ek * c2) <= BRANCH_DEADBAND:
             raise ParameterOutOfRange("tau=0 branch with c1^2 = 4 eps kappa c2 is flat",
                                       "c1^2 != 4 eps kappa c2")
+        if n != 4:
+            raise InadmissibleConstants(
+                f"warped branch at n={n} with tau = 0 needs gamma = 0, "
+                f"which leaves only the flat case c1^2 = 4 eps kappa c2",
+                "tau != 0 for n != 4")
         F = ek * t * t + c1 * t + c2
         Fp = 2.0 * ek * t + c1
         Fpp = 2.0 * ek

@@ -262,11 +262,13 @@ def _require(ok, pts, error, msg):
 
 def kn_product(A, B):
     """Kulkarni-Nomizu product of batched symmetric 2-tensors (m, n, n):
-    (A kn B)_ijkl = A_ik B_jl + A_jl B_ik - A_il B_jk - A_jk B_il."""
-    return (np.einsum("mik,mjl->mijkl", A, B)
-            + np.einsum("mjl,mik->mijkl", A, B)
-            - np.einsum("mil,mjk->mijkl", A, B)
-            - np.einsum("mjk,mil->mijkl", A, B))
+    (A kn B)_ijkl = A_ik B_jl + A_jl B_ik - A_il B_jk - A_jk B_il.
+
+    With X_ijkl = A_ik B_jl + A_jl B_ik, one einsum plus its transpose
+    under (i, k) <-> (j, l), the product is X - X with k <-> l."""
+    Y = np.einsum("mik,mjl->mijkl", A, B)
+    X = Y + Y.transpose(0, 2, 1, 4, 3)
+    return X - X.transpose(0, 1, 2, 4, 3)
 
 
 # -- frame cache ---------------------------------------------------------

@@ -177,6 +177,29 @@ def test_ode_direct_branch_in_every_dimension(tmp_path, n, eps):
     assert json.loads(out.read_text())["closed_form_deviation"] < 1e-9
 
 
+_WARPED_N5 = ["ode", "--branch", "warped", "--param", "n=5", "--param",
+              "eps=1", "--param", "tau=2", "--param", "kappa=1", "--param",
+              "A=1", "--span=0:1"]
+
+
+def test_ode_warped_n5_rejects_constants_with_gamma_nonzero(capsys):
+    # at n = 5 the closed form needs c1^2 + c2^2 = C^2 = 25; this run used
+    # to deviate from it by 0.0185 and exit 2
+    assert run(_WARPED_N5 + ["--param", "c1=1", "--param", "c2=-0.1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs gamma = 0, that is c1^2 + c2^2 = C^2" in captured.err
+
+
+def test_ode_warped_n5_admissible_constants(tmp_path):
+    out = tmp_path / "o.json"
+    assert run(_WARPED_N5 + ["--param", "c1=3", "--param", "c2=-4",
+                             "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["closed_form_deviation"] < 1e-8
+    assert not rep["terminated_early"]
+
+
 def test_unknown_subcommand():
     assert run(["frobnicate"]) == 4
 

@@ -171,6 +171,22 @@ def test_ring_product_commutes(c1, c2):
     np.testing.assert_allclose(ctx.mul(a, b), ctx.mul(b, a), atol=1e-12)
 
 
+@pytest.mark.parametrize("lead_a, lead_b", [
+    ((), (5,)), ((5,), ()), ((3, 1), (1, 4)), ((2, 1, 5), (5,))])
+def test_mul_broadcasts_lead_axes_bit_for_bit(lead_a, lead_b):
+    # the gathers broadcast the lead axes, so the product equals that of
+    # operands broadcast beforehand, bit for bit
+    ctx = jet_context(3, 2)
+    rng = np.random.default_rng(len(lead_a) + 3 * len(lead_b))
+    a = rng.uniform(-2.0, 2.0, lead_a + (ctx.N,))
+    b = rng.uniform(-2.0, 2.0, lead_b + (ctx.N,))
+    got = ctx.mul(a, b)
+    want = ctx.mul(*(np.ascontiguousarray(x)
+                     for x in np.broadcast_arrays(a, b)))
+    assert got.shape == np.broadcast_shapes(a.shape, b.shape)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_eval_jets_rejects_coordinate_outside_chart():
     e = parse_sexpr("(mul x (add y z))", ("x", "y", "z"))
     with pytest.raises(DomainError, match="coordinate index 2"):

@@ -2,13 +2,13 @@
 
 import csv
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wefe import ode
-from wefe.errors import DegenerateState, ParameterOutOfRange, StepFailure
+from wefe.errors import (DegenerateState, InadmissibleConstants,
+                         ParameterOutOfRange, StepFailure)
 
 
 def test_rhs_constant_solution():
@@ -124,8 +124,8 @@ def _numpy_trajectory(st, t_end, tol=ode.DEFAULT_TOL):
     """The Dormand-Prince loop on numpy 4-vectors, from the same tableau and
     step control, for spans with no degenerate stage or early stop."""
     def f(t, y):
-        hpp, phipp = ode.rhs(replace(st, t=t, h=y[0], hp=y[1], phi=y[2],
-                                     phip=y[3]))
+        hpp, phipp = ode.rhs(st._replace(t=t, h=y[0], hp=y[1], phi=y[2],
+                                         phip=y[3]))
         return np.array([y[1], hpp, y[3], phipp])
 
     t, y = st.t, np.array([st.h, st.hp, st.phi, st.phip])
@@ -244,3 +244,80 @@ def test_tolerance_scaling():
         end = ode.integrate(start, 0.5, tol=tol).final()
         err.append(abs(end.h - ref.h) + abs(end.phi - ref.phi))
     assert err[1] < err[0] or err[1] < 1e-12
+
+
+def test_state_is_an_immutable_named_tuple():
+    st = ode.OdeState(0.1, 2.0, 0.3, 1.5, -0.2, 5, -1.0, 3.0, 0.5)
+    assert st == ode.OdeState(t=0.1, h=2.0, hp=0.3, phi=1.5, phip=-0.2,
+                              n=5, eps=-1.0, tau=3.0, kappa=0.5)
+    assert ode.OdeState._fields == ("t", "h", "hp", "phi", "phip", "n",
+                                    "eps", "tau", "kappa")
+    assert (st.t, st.h, st.hp, st.phi, st.phip) == (0.1, 2.0, 0.3, 1.5, -0.2)
+    assert (st.n, st.eps, st.tau, st.kappa) == (5, -1.0, 3.0, 0.5)
+    short = ode.OdeState(0.0, 1.0, 0.0, 1.0, 0.0)
+    assert (short.n, short.eps, short.tau, short.kappa) == (4, 1.0, 0.0, 0.0)
+    with pytest.raises(AttributeError):
+        st.h = 1.0
+    with pytest.raises(TypeError):
+        ode.OdeState(0.0, 1.0, 0.0, 1.0)        # phip has no default
+    moved = st._replace(h=3.0)
+    assert moved.h == 3.0 and st.h == 2.0
+    assert moved[:1] + moved[2:] == st[:1] + st[2:]
+
+
+# warped constants with gamma = 0 in dimension n, which the closed form
+# needs off n = 4: eps tau > 0 takes c1^2 + c2^2 = C^2, eps tau < 0 takes
+# 4 c1 c2 = C^2, with C = n(n-1) kappa/(2 tau); phi increases on the span
+def _warped_gamma_zero(n, sign):
+    if sign > 0:
+        eps, tau, kappa = 1.0, 2.0, 1.0
+        C = n * (n - 1) * kappa / (2.0 * tau)
+        c1, c2 = 0.6 * C, -0.8 * C
+    else:
+        eps, tau, kappa = -1.0, 3.0, 1.0
+        C = n * (n - 1) * kappa / (2.0 * tau)
+        c1, c2 = C, C / 4.0
+    return dict(n=n, eps=eps, tau=tau, kappa=kappa, c1=c1, c2=c2, A=0.7)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_warped_branch_off_dimension_four(n, sign):
+    params = _warped_gamma_zero(n, sign)
+    start = ode.closed_form("warped", params, -0.2 if sign < 0 else 0.1)
+    traj = ode.integrate(start, 0.9)
+    assert not traj.terminated_early and len(traj.states) > 5
+    for st in traj.states:
+        ref = ode.closed_form("warped", params, st.t)
+        for attr in ("h", "hp", "phi", "phip"):
+            assert getattr(st, attr) == pytest.approx(getattr(ref, attr),
+                                                      abs=1e-9)
+    gamma, kappa = ode.first_integrals(start)
+    assert gamma == pytest.approx(0.0, abs=1e-12)
+    assert kappa == pytest.approx(params["kappa"], abs=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_warped_branch_off_dimension_four_rejects_gamma_nonzero(n, sign):
+    params = _warped_gamma_zero(n, sign)
+    params["c2"] *= 1.0 + 1e-9
+    with pytest.raises(InadmissibleConstants,
+                       match=f"at n={n} needs gamma = 0") as info:
+        ode.closed_form("warped", params, 0.0)
+    assert isinstance(info.value, ParameterOutOfRange)
+    assert info.value.constraint == ("c1^2 + c2^2 = C^2" if sign > 0
+                                     else "4 c1 c2 = C^2")
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_warped_tau_zero_needs_dimension_four(n):
+    params = dict(eps=1.0, tau=0.0, kappa=1.0, c1=3.0, c2=3.0, A=1.0)
+    ode.closed_form("warped", dict(params, n=4), 0.0)
+    with pytest.raises(InadmissibleConstants, match="only the flat case"):
+        ode.closed_form("warped", dict(params, n=n), 0.0)
+    # the flat case itself keeps its own, older refusal
+    flat = dict(params, n=n, c1=2.0, c2=1.0)
+    with pytest.raises(ParameterOutOfRange, match="is flat") as info:
+        ode.closed_form("warped", flat, 0.0)
+    assert not isinstance(info.value, InadmissibleConstants)

@@ -283,6 +283,18 @@ def test_kulkarni_nomizu_symmetries():
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_kulkarni_nomizu_matches_four_einsums(n):
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(7, n, n)); A = A + np.swapaxes(A, 1, 2)
+    B = rng.normal(size=(7, n, n)); B = B + np.swapaxes(B, 1, 2)
+    want = (np.einsum("mik,mjl->mijkl", A, B)
+            + np.einsum("mjl,mik->mijkl", A, B)
+            - np.einsum("mil,mjk->mijkl", A, B)
+            - np.einsum("mjk,mil->mijkl", A, B))
+    np.testing.assert_allclose(kn_product(A, B), want, rtol=0, atol=1e-13)
+
+
 def test_cotton_equals_div_riemann():
     # both encode harmonic curvature failure; they must agree identically
     spec = catalog.build("ex52-liegroup")
