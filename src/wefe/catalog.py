@@ -8,8 +8,9 @@ User-supplied manifests load through exactly the same parser."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from . import jets as J
@@ -171,46 +172,95 @@ def load_manifest(path):
         return parse_manifest(fh.read(), source=str(path))
 
 
+@functools.cache
 def _manifest_dir():
     return resources.files("wefe").joinpath("manifests")
 
 
+@functools.cache
+def _listing(directory):
+    """Manifest file name -> resource, sorted by name, listed once."""
+    return {item.name: item
+            for item in sorted(directory.iterdir(), key=lambda p: p.name)
+            if item.name.endswith(".manifest")}
+
+
+# The built-in entries, filled lazily per manifest resource: the entry as
+# parsed, and its spec at default parameters.  Neither is handed out:
+# callers get copies, so nothing they do reaches the next call.  A
+# manifest that fails to parse or build is not stored and fails again.
+_entries = {}
+_specs = {}
+
+
+def _parsed(item):
+    entry = _entries.get(item)
+    if entry is None:
+        entry = _entries[item] = parse_manifest(
+            item.read_text(encoding="utf-8"), source=item.name)
+    return entry
+
+
+def _copy(entry):
+    return replace(entry, params=dict(entry.params), flags=dict(entry.flags),
+                   metric=dict(entry.metric))
+
+
+def _builtin(entry_id):
+    """(resource, stored entry) of the built-in ``<id>.manifest``.  The
+    id is matched against the directory listing, never joined into a
+    path."""
+    item = _listing(_manifest_dir()).get(f"{entry_id}.manifest")
+    if item is None:
+        raise ManifestError(f"no catalog entry {entry_id!r}")
+    entry = _parsed(item)
+    if entry.entry_id != entry_id:
+        raise ManifestError(f"{item.name}: id {entry.entry_id!r} does not "
+                            f"match the file name")
+    return item, entry
+
+
 def list_entries():
     """All built-in entries, sorted by id."""
-    entries = []
-    for item in sorted(_manifest_dir().iterdir(), key=lambda p: p.name):
-        if item.name.endswith(".manifest"):
-            entries.append(parse_manifest(item.read_text(encoding="utf-8"),
-                                          source=item.name))
-    return entries
+    return [_copy(_parsed(item))
+            for item in _listing(_manifest_dir()).values()]
 
 
 def entry_ids():
-    return [e.entry_id for e in list_entries()]
+    return [_parsed(item).entry_id
+            for item in _listing(_manifest_dir()).values()]
 
 
 def get_entry(entry_id):
     """One built-in entry, parsed from its own ``<id>.manifest`` file
-    only.  The id is matched against the directory listing, never joined
-    into a path."""
-    name = f"{entry_id}.manifest"
-    for item in _manifest_dir().iterdir():
-        if item.name == name:
-            entry = parse_manifest(item.read_text(encoding="utf-8"),
-                                   source=item.name)
-            if entry.entry_id != entry_id:
-                raise ManifestError(
-                    f"{item.name}: id {entry.entry_id!r} does not match "
-                    f"the file name")
-            return entry
-    raise ManifestError(f"no catalog entry {entry_id!r}")
+    only, once per process."""
+    return _copy(_builtin(entry_id)[1])
 
 
 def build(entry, **overrides):
     """Instantiate an entry as a MetricMeasureSpec.  Parameter overrides
-    must lie inside the entry's admissible ranges."""
+    must lie inside the entry's admissible ranges.
+
+    A built-in entry, given by id or equal to the stored one, is built
+    at default parameters once per process; every call returns a fresh
+    spec that shares its Expr DAG but owns its ``flags``.  Other entries
+    and override builds are built on every call."""
     if isinstance(entry, str):
-        entry = get_entry(entry)
+        item, entry = _builtin(entry)
+    else:
+        item = _listing(_manifest_dir()).get(f"{entry.entry_id}.manifest")
+        if item is not None and _entries.get(item) != entry:
+            item = None
+    if overrides or item is None:
+        return _build(entry, overrides)
+    spec = _specs.get(item)
+    if spec is None:
+        spec = _specs[item] = _build(entry, {})
+    flags = dict(spec.flags, params=dict(spec.flags["params"]))
+    return replace(spec, flags=flags)
+
+
+def _build(entry, overrides):
     values = {}
     for name, (default, lo, hi) in entry.params.items():
         v = float(overrides.pop(name, default))

@@ -383,8 +383,13 @@ class JetContext:
         lead_a, lead_b = a.shape[:-3], b.shape[1:-2]
         s, m, N = b.shape[0], a.shape[-2], self.N
         na, nb = math.prod(lead_a), math.prod(lead_b)
-        at = a.reshape(na, s, m, N).transpose(2, 3, 0, 1)   # (m, N, na, s)
-        bt = b.reshape(s, nb, m, N).transpose(2, 3, 0, 1)   # (m, N, s, nb)
+        # C-contiguous copies: matmul then takes the same BLAS kernel for
+        # every operand layout and point count, so a point's jets do not
+        # depend on how many points share its Frame
+        at = np.ascontiguousarray(
+            a.reshape(na, s, m, N).transpose(2, 3, 0, 1))  # (m, N, na, s)
+        bt = np.ascontiguousarray(
+            b.reshape(s, nb, m, N).transpose(2, 3, 0, 1))  # (m, N, s, nb)
         if self.order <= 1:
             # a0 b in every coefficient, plus a_d b0 in the degree-1 ones
             out = at[:, :1] @ bt                            # (m, N, na, nb)
@@ -457,9 +462,11 @@ class JetContext:
         a0 = a[..., 0]
         if q.denominator == 1:
             k = int(q)
-            if k >= 0:
-                out = self.constant(1.0, a.shape[:-1])
-                for _ in range(k):
+            if k == 0:
+                return self.constant(1.0, a.shape[:-1])
+            if k > 0:
+                out = a
+                for _ in range(k - 1):
                     out = self.mul(out, a)
                 return out
             return self.recip(self.power(a, -k))
@@ -547,6 +554,11 @@ def _eval_node(e, args, pts, ctx):
     if k == "neg":
         return -args[0]
     if k == "mul":
+        # a constant factor scales the other jet; a jet product would
+        # only add zeros to each scaled coefficient
+        for c, other in zip(e.children, args[::-1]):
+            if c.kind == "const":
+                return float(c.value) * other
         return ctx.mul(args[0], args[1])
     if k == "div":
         return ctx.mul(args[0], ctx.recip(args[1]))

@@ -54,6 +54,9 @@ _DET_TOL = 1e-12
 # it glibc returns that memory to the OS after every operation and
 # faults it back in: whole-catalog verify on fresh points (2-CPU VM)
 # took 2,400 minor page faults per entry without the cache, 940 with it.
+# Entries are keyed by spec identity, and catalog.build returns a fresh
+# spec on every call although it builds each built-in entry once, so
+# one CLI call never reads a Frame that another call built.
 _FRAME_CACHE_SIZE = 16
 
 
@@ -225,7 +228,9 @@ class Frame:
         hesJ = (ck.grad(dhJ)
                 - c0.contract(dhJ[..., :c0.N], upJ[..., :c0.N]))
         self.hes0 = values(hesJ)                 # (m, i, j)
-        self.lap0 = np.einsum("mij,mij->m", ginv0, self.hes0)
+        # summed from a fresh product: an einsum over the transposed hes0
+        # view sums a one-point Frame's terms in another order
+        self.lap0 = (ginv0 * self.hes0).sum(axis=(1, 2))
 
         # cov_ric[a, b, c] = (nabla_a rho)(b, c), from d rho and Gamma
         G, r0 = self.gamma0, self.ric0
@@ -278,7 +283,8 @@ _frame_cache = {}
 
 def frame_at(spec, pts, order=1):
     """Batched frame of the given order, cached on (spec identity, order,
-    points)."""
+    points).  Identity, not equality: the specs of two builds of one
+    entry compare equal, and each caller owns its spec's ``flags``."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     key = (id(spec), order, pts.tobytes())
     hit = _frame_cache.get(key)

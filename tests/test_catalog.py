@@ -1,5 +1,10 @@
 """Manifest parsing and entry construction."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -260,3 +265,78 @@ def test_get_entry_rejects_id_differing_from_file_name(tmp_path,
     monkeypatch.setattr(catalog, "_manifest_dir", lambda: tmp_path)
     with pytest.raises(ManifestError, match="flat.manifest"):
         catalog.get_entry("flat")
+
+
+# -- the per-process table of built-in entries ----------------------------
+
+def _from_file(eid):
+    item = catalog._manifest_dir() / f"{eid}.manifest"
+    return catalog.parse_manifest(item.read_text(encoding="utf-8"),
+                                  source=item.name)
+
+
+def test_mutating_a_returned_entry_does_not_reach_the_next_call():
+    for got in (catalog.get_entry("ex66-kundt"),
+                {e.entry_id: e for e in catalog.list_entries()}["ex66-kundt"]):
+        got.flags["ricci_type"] = "III"
+        got.flags["is_solution"] = False
+        got.params["C"] = (9.0, 0.0, 10.0)
+        got.metric.clear()
+        got.density = "1"
+        assert catalog.get_entry("ex66-kundt") == _from_file("ex66-kundt")
+        assert catalog.build("ex66-kundt").flags["params"] == {"C": 1.0}
+    # a mutated entry builds as it now reads, not from the table
+    assert catalog.build(got).flags["params"] == {"C": 9.0}
+
+
+def test_mutating_a_returned_spec_does_not_reach_the_next_call():
+    first = catalog.build("ex66-kundt")
+    want = dict(first.flags, params=dict(first.flags["params"]))
+    first.flags["ricci_type"] = "III"
+    first.flags["params"]["C"] = 5.0
+    del first.flags["kundt_vector"]
+    for again in (catalog.build("ex66-kundt"),
+                  catalog.build(catalog.get_entry("ex66-kundt"))):
+        assert again is not first and again.flags == want
+        # fresh specs, one shared Expr DAG
+        assert again.g is first.g and again.h is first.h
+
+
+def test_builds_with_overrides_are_not_shared():
+    a = catalog.build("ex66-kundt", C=2.0)
+    b = catalog.build("ex66-kundt", C=2.0)
+    assert a.h is not b.h and a.flags["params"] is not b.flags["params"]
+    assert a.flags["params"] == b.flags["params"] == {"C": 2.0}
+    assert catalog.build("ex66-kundt").flags["params"] == {"C": 1.0}
+
+
+def test_unknown_id_fails_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ManifestError, match="no catalog entry"):
+            catalog.get_entry("nonsense")
+        with pytest.raises(ManifestError, match="no catalog entry"):
+            catalog.build("nonsense")
+
+
+def test_manifest_that_fails_to_parse_fails_until_fixed(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(catalog, "_manifest_dir", lambda: tmp_path)
+    path = tmp_path / "toy.manifest"
+    path.write_text(GOOD.replace("dimension: 3", "dimension: three"))
+    for _ in range(2):
+        with pytest.raises(ManifestError, match="toy.manifest:2"):
+            catalog.get_entry("toy")
+        with pytest.raises(ManifestError, match="toy.manifest:2"):
+            catalog.build("toy")
+    path.write_text(GOOD)
+    assert catalog.build("toy").flags["params"] == {"a": 1.0}
+
+
+def test_nothing_is_parsed_at_import():
+    code = ("import wefe.cli\n"
+            "from wefe import catalog\n"
+            "assert not catalog._entries and not catalog._specs\n"
+            "assert catalog._listing.cache_info().currsize == 0\n")
+    src = pathlib.Path(catalog.__file__).parents[1]
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(src)))

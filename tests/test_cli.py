@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wefe import catalog, cli
+from wefe import catalog, cli, tensor
 from wefe.sampling import resolve_seed, sample_box
 
 GOOD_MANIFEST = """\
@@ -390,3 +390,46 @@ def test_ode_rejects_unknown_or_missing_param(args, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_edited_manifest_is_read_again(tmp_path):
+    path = tmp_path / "toy.manifest"
+    out = tmp_path / "r.json"
+    path.write_text(GOOD_MANIFEST)
+    assert run(["verify", "--manifest", str(path), "--out", str(out)]) == 0
+    path.write_text(GOOD_MANIFEST.replace("flag: ricci_type I.a",
+                                          "flag: ricci_type II"))
+    assert run(["verify", "--manifest", str(path), "--out", str(out)]) == 2
+    (item,) = json.loads(out.read_text())["entries"].values()
+    assert item["mismatches"] == ["ricci_type: expected II, computed I.a"]
+
+
+def test_manifest_that_fails_to_parse_fails_until_fixed(tmp_path, capsys):
+    path = tmp_path / "toy.manifest"
+    path.write_text(GOOD_MANIFEST.replace("dimension: 4", "dimension: four"))
+    for _ in range(2):
+        assert run(["verify", "--manifest", str(path)]) == 4
+        assert "toy.manifest:2" in capsys.readouterr().err
+    path.write_text(GOOD_MANIFEST)
+    assert run(["verify", "--manifest", str(path), "--samples", "4"]) == 0
+
+
+def test_classify_calls_do_not_share_a_frame(tmp_path, monkeypatch):
+    # every build returns a fresh spec, and the frame cache keys on the
+    # spec's identity, so no call reads a Frame another call built
+    built = []
+
+    class Counted(tensor.Frame):
+        def __init__(self, spec, pts, order=1):
+            built.append((id(spec), order))
+            super().__init__(spec, pts, order)
+
+    monkeypatch.setattr(tensor, "Frame", Counted)
+    reports = []
+    for i in range(2):
+        out = tmp_path / f"c{i}.json"
+        assert run(["classify", "--entry", "ex52-liegroup",
+                    "--point", "0.1,-0.2,0.3,0.25", "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert len(built) == 2 and built[0] != built[1]
+    assert reports[0] == reports[1]

@@ -276,6 +276,58 @@ def test_compose_skips_products_that_truncate_to_zero(monkeypatch):
         np.testing.assert_array_equal(got, ref)
 
 
+@pytest.mark.parametrize("m", [1, 100])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_power_is_the_repeated_product_bit_for_bit(order, m):
+    # power(a, k) starts from a, not from the constant-1 jet, and takes
+    # k - 1 products; the result is the k-fold product from 1 bit for bit
+    ctx = jet_context(4, order)
+    a = np.random.default_rng([order, m]).uniform(-2.0, 2.0, (m, ctx.N))
+    want = ctx.constant(1.0, (m,))
+    for k in range(7):
+        np.testing.assert_array_equal(ctx.power(a, k), want)
+        want = ctx.mul(want, a)
+
+
+def test_power_takes_one_product_fewer_than_its_exponent(monkeypatch):
+    calls = _count_calls(monkeypatch, "mul")
+    ctx = jet_context(3, 3)
+    a = ctx.coordinate(0, [0.4, 1.3]) + 2.0
+    for k in range(7):
+        calls.clear()
+        ctx.power(a, k)
+        assert len(calls) == max(k - 1, 0)
+
+
+@pytest.mark.parametrize("eid", catalog.entry_ids())
+def test_constant_factor_scales_bit_for_bit(eid, monkeypatch):
+    # a mul node with a constant child scales the other child's jet,
+    # which is the jet product bit for bit, and forms no product
+    spec = catalog.build(eid)
+    ctx = jet_context(spec.n, 3)
+    pts = sample_box(spec.box, 20, 0)
+    seen, todo = set(), [spec.h] + [e for row in spec.g for e in row]
+    scaled = []
+    while todo:
+        e = todo.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            todo.extend(e.children)
+            if e.kind == "mul" and any(c.kind == "const" for c in e.children):
+                scaled.append(e)
+    calls = _count_calls(monkeypatch, "mul")
+    for e in scaled:
+        a, b = (eval_jets(c, pts, ctx) for c in e.children)
+        want = ctx.mul(a, b)
+        calls.clear()
+        other = e.children[e.children[0].kind == "const"]
+        eval_jets(other, pts, ctx)
+        products = len(calls)
+        calls.clear()
+        np.testing.assert_array_equal(eval_jets(e, pts, ctx), want)
+        assert len(calls) == products
+
+
 def test_jet_context_rejects_bad_order():
     with pytest.raises(ValueError):
         jet_context(2, 4)

@@ -6,7 +6,7 @@ from wefe.constants import RICCI_SIGN, RIEMANN_SIGN
 from wefe.errors import (DimensionError, DomainError, SignatureMismatch,
                          SingularMetric)
 from wefe.jets import const, coord, exp, parse_sexpr, sin
-from wefe.sampling import sample_box
+from wefe.sampling import resolve_seed, sample_box
 from wefe.tensor import (Frame, frame_at, kn_product, make_spec,
                          multiply_warped_ricci, warped_ricci)
 
@@ -424,3 +424,29 @@ def test_multiply_warped_two_fibers():
     ])
     full = frame_at(spec, p[None]).ric0[0]
     np.testing.assert_allclose(rho, full, atol=1e-9)
+
+
+ORDER0_FIELDS = ("g0", "ginv0", "gamma0", "riemann0", "ric0", "tau0", "h0",
+                 "dh", "gradh", "gradh_sq")
+ORDER1_FIELDS = ("d_tau", "hes0", "lap0", "scalar_j0", "cov_ric", "cotton0",
+                 "weyl0")
+
+
+@pytest.mark.parametrize("eid", catalog.entry_ids())
+def test_point_fields_do_not_depend_on_frame_size(eid):
+    # a point's curvature is bit for bit the same alone in a one-point
+    # Frame of either order as in a row of the 100-point plan Frame
+    spec = catalog.build(eid)
+    plan = sample_box(spec.box, 100, resolve_seed())
+    whole = Frame(spec, plan, 1)
+    for i in (0, 1, 7, 50, 99):
+        for order, names in ((0, ORDER0_FIELDS),
+                             (1, ORDER0_FIELDS + ORDER1_FIELDS)):
+            alone = Frame(spec, plan[i:i + 1], order)
+            for name in names:
+                got, want = getattr(alone, name), getattr(whole, name)
+                if want is None:        # weyl0 below dimension 4
+                    assert got is None
+                    continue
+                np.testing.assert_array_equal(got[0], want[i],
+                                              err_msg=f"{i} {order} {name}")
