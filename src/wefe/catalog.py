@@ -102,8 +102,18 @@ def parse_manifest(text, source="<manifest>"):
     n = entry["dimension"]
     if len(entry["box"]) != n:
         raise ManifestError(f"{source}: need {n} box lines")
-    if len(entry["coords"]) != n:
+    coords = entry["coords"]
+    if len(coords) != n:
         raise ManifestError(f"{source}: need {n} coordinate names")
+    if len(set(coords)) != n:
+        dup = next(c for i, c in enumerate(coords) if c in coords[:i])
+        raise ManifestError(f"{source}:{entry['lines']['coords']}: coords: "
+                            f"{dup!r} repeats")
+    for name in entry["params"]:
+        if name in coords:
+            field = f"param {name}"
+            raise ManifestError(f"{source}:{entry['lines'][field]}: {field}: "
+                                f"the name of a coordinate")
     for i, j in entry["metric"]:
         if i < 0 or j >= n:
             field = f"metric {i} {j}"
@@ -167,9 +177,15 @@ def _parse_line(entry, key, value, lineno):
 
 
 def load_manifest(path):
-    """Load a user manifest file through the catalog parser."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_manifest(fh.read(), source=str(path))
+    """Load a user manifest file through the catalog parser.  A file that
+    cannot be read as UTF-8 text is a ManifestError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        reason = getattr(e, "strerror", None) or e
+        raise ManifestError(f"{path}: cannot read manifest: {reason}") from e
+    return parse_manifest(text, source=str(path))
 
 
 @functools.cache

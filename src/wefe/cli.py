@@ -94,8 +94,6 @@ def _entry_specs(args):
 
 
 def cmd_verify(args) -> int:
-    atol = args.tol_atol if args.tol_atol is not None else constants.ATOL
-    rtol = args.tol_rtol if args.tol_rtol is not None else constants.RTOL
     if args.samples < 1:
         sys.stderr.write(f"error: --samples must be at least 1, "
                          f"got {args.samples}\n")
@@ -107,7 +105,7 @@ def cmd_verify(args) -> int:
         t0 = time.perf_counter()
         try:
             spec = catalog.build(entry)
-            wrep = weighted.verify(spec, samples=args.samples, atol=atol, rtol=rtol)
+            wrep = weighted.verify(spec, samples=args.samples)
             item = wrep.as_dict()
             try:
                 crep = _classify_at_probe(spec)
@@ -300,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--entry", action="append", help="catalog entry id")
     pv.add_argument("--manifest", default=None, help="external manifest path")
     pv.add_argument("--samples", type=int, default=constants.DEFAULT_SAMPLES)
-    pv.add_argument("--tol-atol", type=float, default=None)
-    pv.add_argument("--tol-rtol", type=float, default=None)
     common(pv)
     pv.set_defaults(fn=cmd_verify)
 

@@ -27,11 +27,10 @@ Products have two kernels.  :meth:`JetContext.mul` multiplies jets
 elementwise (expression evaluation, composition).
 :meth:`JetContext.contract` multiplies and sums over one shared tensor
 index in a single step, the jet-matrix product of Griewank & Walther,
-ch. 13, so the unsummed product is never stored.  Up to order 1, the
-orders the curvature stages use, a jet product is a0 b in every
-coefficient plus a_d b0 in the degree-1 ones: two stacked matmuls.  At
-orders 2 and 3 it gathers the index pairs of both operands, sums with
-one stacked matmul, and scatters the pairs into the result.
+ch. 13, so the unsummed product is never stored.  It takes orders 0
+and 1 only, the orders the curvature stages use, where a jet product is
+a0 b in every coefficient plus a_d b0 in the degree-1 ones: two stacked
+matmuls.
 
 Derivatives are gathers from tables built once per context:
 :meth:`JetContext.grad` gives all n first partials, one order lower, and
@@ -322,9 +321,8 @@ class JetContext:
                     tk.append(self.index_of[s])
         self._ti = np.array(ti)
         self._tj = np.array(tj)
-        self._tk = np.array(tk)
         scatter = np.zeros((len(tk), self.N))
-        scatter[np.arange(len(tk)), self._tk] = 1.0
+        scatter[np.arange(len(tk)), tk] = 1.0
         self._scatter = scatter
 
         af = self.alpha_factorial = np.array(
@@ -374,12 +372,12 @@ class JetContext:
         (*A, s, m, N), ``b`` has shape (s, *B, m, N), and the result, of
         shape (*A, *B, m, N), is sum_s a[..., s, :, :] * b[s, ...].
 
-        Up to order 1 the sum over s is two stacked matmuls over the
-        (point, coefficient) batch.  Above, the index pairs are gathered
-        once per operand, the sum over s is one stacked matmul over the
-        (point, pair) batch, and the pairs are scattered into N by the
-        matmul :meth:`mul` uses.  Either way the (*A, s, *B, m, P)
-        product is never formed."""
+        Orders 0 and 1 only, the orders the curvature stages use: the sum
+        over s is two stacked matmuls over the (point, coefficient)
+        batch, and the (*A, s, *B, m, N) product is never formed."""
+        if self.order > 1:
+            raise ValueError(f"contract takes jet orders 0 and 1, "
+                             f"not {self.order}")
         lead_a, lead_b = a.shape[:-3], b.shape[1:-2]
         s, m, N = b.shape[0], a.shape[-2], self.N
         na, nb = math.prod(lead_a), math.prod(lead_b)
@@ -390,14 +388,10 @@ class JetContext:
             a.reshape(na, s, m, N).transpose(2, 3, 0, 1))  # (m, N, na, s)
         bt = np.ascontiguousarray(
             b.reshape(s, nb, m, N).transpose(2, 3, 0, 1))  # (m, N, s, nb)
-        if self.order <= 1:
-            # a0 b in every coefficient, plus a_d b0 in the degree-1 ones
-            out = at[:, :1] @ bt                            # (m, N, na, nb)
-            if self.order:
-                out[:, 1:] += at[:, 1:] @ bt[:, :1]
-        else:
-            prod = at[:, self._ti] @ bt[:, self._tj]        # (m, P, na, nb)
-            out = self._scatter.T @ prod.reshape(m, -1, na * nb)
+        # a0 b in every coefficient, plus a_d b0 in the degree-1 ones
+        out = at[:, :1] @ bt                                # (m, N, na, nb)
+        if self.order:
+            out[:, 1:] += at[:, 1:] @ bt[:, :1]
         return out.reshape(m, N, na, nb).transpose(2, 3, 0, 1).reshape(
             lead_a + lead_b + (m, N))
 

@@ -39,6 +39,7 @@ Kulkarni-Nomizu product.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +50,13 @@ from .errors import (DimensionError, DomainError, SignatureMismatch,
                      SingularMetric)
 
 _DET_TOL = 1e-12
-# Besides sparing repeat lookups, the cache keeps recent Frames, and the
-# jet arrays their value views point into, alive in the heap.  Without
-# it glibc returns that memory to the OS after every operation and
-# faults it back in: whole-catalog verify on fresh points (2-CPU VM)
-# took 2,400 minor page faults per entry without the cache, 940 with it.
-# Entries are keyed by spec identity, and catalog.build returns a fresh
-# spec on every call although it builds each built-in entry once, so
-# one CLI call never reads a Frame that another call built.
+# frame_at keeps the last Frames, and the jet arrays their value views
+# point into, alive in the heap.  Without that, glibc returns the memory
+# to the OS after every operation and faults it back in: on a 2-CPU VM,
+# certify-sweep took 777 minor page faults per operation with no Frame
+# kept, against 7.6-95 with the last 16 kept, and op_p50_ms rose from
+# 7.14 to 8.77 ms.  The keep-alive stays until one fixed jet workspace
+# holds these buffers (ROADMAP item 9).
 _FRAME_CACHE_SIZE = 16
 
 
@@ -113,16 +113,18 @@ def make_spec(name, n, g_upper, h, box, signature="lorentzian",
 class Frame:
     """All curvature data of a spec at an array of points, computed once.
 
-    ``order`` is the jet order k of the curvature stage (see the module
-    docstring).  Order 0 holds g0, ginv0, gamma0, riemann0, ric0, tau0,
-    h0, dh, gradh and gradh_sq; order 1 adds d_tau, hes0, lap0,
-    scalar_j0, cov_ric, cotton0 and weyl0.
+    ``order``, 0 or 1, is the jet order k of the curvature stage (see
+    the module docstring).  Order 0 holds g0, ginv0, gamma0, riemann0,
+    ric0, tau0, h0, dh, gradh and gradh_sq; order 1 adds d_tau, hes0,
+    lap0, scalar_j0, cov_ric, cotton0 and weyl0.
 
     Value arrays carry the point axis first: g0 has shape (m, n, n),
     d_tau has shape (m, a), cov_ric has the derivative slot first per
     the (nabla_a T)(b, c) reading."""
 
     def __init__(self, spec, pts, order=1):
+        if order not in (0, 1):
+            raise ValueError(f"Frame order {order!r} is not 0 or 1")
         self.spec = spec
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != spec.n:
@@ -276,24 +278,16 @@ def kn_product(A, B):
     return X - X.transpose(0, 1, 2, 4, 3)
 
 
-# -- frame cache ---------------------------------------------------------
+# -- frame keep-alive ----------------------------------------------------
 
-_frame_cache = {}
+_recent_frames = deque(maxlen=_FRAME_CACHE_SIZE)
 
 
 def frame_at(spec, pts, order=1):
-    """Batched frame of the given order, cached on (spec identity, order,
-    points).  Identity, not equality: the specs of two builds of one
-    entry compare equal, and each caller owns its spec's ``flags``."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    key = (id(spec), order, pts.tobytes())
-    hit = _frame_cache.get(key)
-    if hit is not None:
-        return hit
+    """A new batched Frame of the given order, kept alive among the last
+    ``_FRAME_CACHE_SIZE`` built."""
     fr = Frame(spec, pts, order)
-    if len(_frame_cache) >= _FRAME_CACHE_SIZE:
-        _frame_cache.pop(next(iter(_frame_cache)))
-    _frame_cache[key] = fr
+    _recent_frames.append(fr)
     return fr
 
 

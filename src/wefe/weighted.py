@@ -107,7 +107,7 @@ class WeightedReport:
         }
 
 
-def verify(spec, samples=DEFAULT_SAMPLES, seed=None, atol=ATOL, rtol=RTOL):
+def verify(spec, samples=DEFAULT_SAMPLES, seed=None):
     """Evaluate every residual over the sample plan and compare the
     derived verdicts with the spec's expected-property flags."""
     pts = sample_box(spec.box, samples, seed)
@@ -128,11 +128,11 @@ def verify(spec, samples=DEFAULT_SAMPLES, seed=None, atol=ATOL, rtol=RTOL):
 
     rho_max = float(np.max(np.abs(fr.ric0)))
     scale = max(1.0, rho_max)
-    tol = atol + rtol * scale
+    tol = ATOL + RTOL * scale
     constant_tau = tau_grad < tol
     harmonic = codazzi < tol and cotton < tol
     # Weyl vanishes identically in 3D, where the Cotton tensor decides
-    lcf = (cotton if spec.n == 3 else weyl) < max(1e-9, atol)
+    lcf = (cotton if spec.n == 3 else weyl) < max(1e-9, ATOL)
 
     residuals = {
         "gh_residual": gh,

@@ -157,6 +157,36 @@ def test_repeated_field_names_both_lines(extra, field, first):
     assert set(e.params) == {"a", "b"} and len(e.box) == 3
 
 
+def test_param_named_like_a_coordinate_names_line():
+    with pytest.raises(ManifestError,
+                       match=r"toy\.manifest:14: param x: the name of a "
+                             r"coordinate"):
+        catalog.parse_manifest(GOOD + "param: x 0.5 0 1\n",
+                               source="toy.manifest")
+
+
+def test_repeated_coordinate_name_names_line():
+    with pytest.raises(ManifestError,
+                       match=r"toy\.manifest:4: coords: 'x' repeats"):
+        catalog.parse_manifest(GOOD.replace("coords: x y z", "coords: x y x"),
+                               source="toy.manifest")
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda p: None, "No such file or directory"),
+    (lambda p: p.mkdir(), "Is a directory"),
+    (lambda p: p.write_bytes(GOOD.encode() + b"citation: \xe9\n"),
+     "can't decode byte 0xe9"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_manifest_names_path(tmp_path, make, reason):
+    path = tmp_path / "toy.manifest"
+    make(path)
+    with pytest.raises(ManifestError) as exc:
+        catalog.load_manifest(path)
+    assert str(exc.value).startswith(f"{path}: cannot read manifest: ")
+    assert reason in str(exc.value)
+
+
 def test_key_error_inside_line_names_source_and_line():
     text = GOOD.replace("signature: riemannian", "signature: lorentz")
     with pytest.raises(ManifestError,

@@ -415,8 +415,8 @@ def test_manifest_that_fails_to_parse_fails_until_fixed(tmp_path, capsys):
 
 
 def test_classify_calls_do_not_share_a_frame(tmp_path, monkeypatch):
-    # every build returns a fresh spec, and the frame cache keys on the
-    # spec's identity, so no call reads a Frame another call built
+    # every build returns a fresh spec, and frame_at builds a new Frame
+    # on every call, so no call reads a Frame another call built
     built = []
 
     class Counted(tensor.Frame):
@@ -433,3 +433,36 @@ def test_classify_calls_do_not_share_a_frame(tmp_path, monkeypatch):
         reports.append(out.read_text())
     assert len(built) == 2 and built[0] != built[1]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("old, new, line, frag", [
+    ("density: (add 2 x)", "param: x 0.5 0 1\ndensity: (add 2 x)", 19,
+     "param x: the name of a coordinate"),
+    ("coords: t x y z", "coords: t x x z", 4, "coords: 'x' repeats"),
+], ids=["param", "coords"])
+def test_verify_manifest_names_must_be_distinct(tmp_path, capsys, old, new,
+                                                 line, frag):
+    # a param named like a coordinate would replace it in every
+    # expression: h = 2 + x read as the constant 2.5
+    path = tmp_path / "clash.manifest"
+    path.write_text(GOOD_MANIFEST.replace(old, new))
+    assert run(["verify", "--manifest", str(path)]) == 4
+    assert f"clash.manifest:{line}: {frag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: None,
+    lambda p: p.mkdir(),
+    lambda p: p.write_bytes(b"id: \xff\xfe\n"),
+], ids=["missing", "directory", "not-utf8"])
+def test_verify_unreadable_manifest_exit_4(tmp_path, capsys, make):
+    path = tmp_path / "m.manifest"
+    make(path)
+    assert run(["verify", "--manifest", str(path)]) == 4
+    assert f"{path}: cannot read manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tol-atol", "--tol-rtol"])
+def test_verify_has_no_tolerance_flags(flag):
+    # the verdict tolerance is ATOL + RTOL * scale, with no override
+    assert run(["verify", "--entry", "minkowski", flag, "1e-9"]) == 4

@@ -337,7 +337,7 @@ _LEAD = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 3), _LEAD, _LEAD,
+@given(st.integers(1, 6), st.integers(0, 1), _LEAD, _LEAD,
        st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_contract_matches_summed_mul(n, k, lead_a, lead_b, s, m, seed):
     # contract(a, b) is the jet product broadcast over *A and *B and
@@ -353,6 +353,14 @@ def test_contract_matches_summed_mul(n, k, lead_a, lead_b, s, m, seed):
     assert got.shape == lead_a + lead_b + (m, ctx.N)
     scale = max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_contract_rejects_orders_above_1(k):
+    ctx = jet_context(3, k)
+    a = np.ones((2, 1, ctx.N))
+    with pytest.raises(ValueError, match=f"orders 0 and 1, not {k}"):
+        ctx.contract(a, a)
 
 
 @pytest.mark.parametrize("k", [0, 1])

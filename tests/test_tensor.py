@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -59,9 +62,9 @@ def test_riemann_symmetries(entry):
     assert np.abs(bianchi).max() < 1e-12
 
 
-def test_frame_cache_never_returns_a_stale_frame():
-    # the cache is keyed on id(spec), but each cached Frame holds its spec
-    # alive, so a rebuilt spec with the same box cannot reuse a cached id
+def test_frame_at_never_returns_a_stale_frame():
+    # frame_at builds every Frame from the spec it is given, so a rebuilt
+    # spec with the same box and points never reads an older spec's fields
     pts = sample_box(catalog.build("ex66-kundt").box, 2, 1)
     for k in range(3 * tensor._FRAME_CACHE_SIZE):
         spec = catalog.build("ex66-kundt", C=0.5 + 0.05 * k)
@@ -91,11 +94,39 @@ def test_order0_frame_equals_order1_fields(entry):
     assert not hasattr(f0, "cotton0")
 
 
-def test_frame_cache_keys_on_order():
+def test_frame_at_builds_the_order_asked_for():
     spec = catalog.build("ex66-kundt")
     p = sample_box(spec.box, 1, 5)
     assert not hasattr(frame_at(spec, p, 0), "cotton0")
     assert frame_at(spec, p).cotton0.shape == (1, 4, 4, 4)
+
+
+def test_frame_at_builds_a_new_frame_on_every_call():
+    spec = catalog.build("ex66-kundt")
+    p = sample_box(spec.box, 1, 5)
+    a, b = frame_at(spec, p), frame_at(spec, p)
+    assert a is not b
+    assert np.array_equal(a.ric0, b.ric0)
+
+
+def test_frame_at_keeps_at_most_the_last_frames_alive():
+    # frame_at keeps recent Frames, and their jet buffers, in the heap;
+    # only the last _FRAME_CACHE_SIZE of them stay reachable
+    spec = catalog.build("ex66-kundt")
+    p = sample_box(spec.box, 1, 5)
+    refs = [weakref.ref(frame_at(spec, p, 0))
+            for _ in range(3 * tensor._FRAME_CACHE_SIZE)]
+    gc.collect()
+    alive = [r() is not None for r in refs]
+    assert sum(alive) <= tensor._FRAME_CACHE_SIZE
+    assert all(alive[-tensor._FRAME_CACHE_SIZE:])
+
+
+@pytest.mark.parametrize("order", [-1, 2, 3, 1.5])
+def test_frame_rejects_orders_other_than_0_and_1(order):
+    spec = catalog.build("ex66-kundt")
+    with pytest.raises(ValueError, match=f"Frame order {order} is not 0 or 1"):
+        Frame(spec, sample_box(spec.box, 1, 5), order)
 
 
 @pytest.mark.parametrize("order", [0, 1])
