@@ -134,10 +134,17 @@ _SINGLE_KEYS = ("id", "dimension", "signature", "coords", "citation",
 def _parse_line(entry, key, value, lineno):
     """Store one line.  Every field but ``box`` may be given once:
     ``entry["lines"]`` maps each field to its line, so a repeat names
-    both lines."""
+    both lines.  A box needs finite bounds lo < hi, and a param's default
+    must lie in its range."""
     if key == "box":
-        lo, hi = value.split()
-        entry["box"].append((float(lo), float(hi)))
+        try:
+            lo, hi = (_finite(x) for x in value.split())
+        except ValueError as e:
+            raise ManifestError(f"box: {e}") from e
+        if not lo < hi:
+            raise ManifestError(f"box: lower bound {lo} is not below upper "
+                                f"bound {hi}")
+        entry["box"].append((lo, hi))
         return
     if key.startswith("metric"):
         _, i, j = key.split()
@@ -155,7 +162,11 @@ def _parse_line(entry, key, value, lineno):
     entry["lines"][field] = lineno
     if key == "param":
         name, default, lo, hi = value.split()
-        entry["params"][name] = (float(default), float(lo), float(hi))
+        default, lo, hi = float(default), float(lo), float(hi)
+        if not lo <= default <= hi:
+            raise ManifestError(f"{field}: default {default} outside "
+                                f"[{lo}, {hi}]")
+        entry["params"][name] = (default, lo, hi)
     elif key == "flag":
         name, val = value.split(None, 1)
         if name not in FLAGS:

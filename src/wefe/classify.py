@@ -30,7 +30,7 @@ DEFAULT_TOL = 1e-8
 @dataclass
 class RicciTypeReport:
     point: np.ndarray
-    eigenvalues: list          # complex, sorted by (real, imag)
+    eigenvalues: np.ndarray    # complex, sorted by (real, imag)
     type_tag: str              # "I.a" | "I.b" | "II" | "III"
     nilpotency_degree: int     # 0 = not nilpotent
     causal_character: str      # "spacelike" | "timelike" | "lightlike"
@@ -91,7 +91,9 @@ def jordan_type(matrix, tol=DEFAULT_TOL):
     A = np.asarray(matrix, dtype=float)
     n = A.shape[0]
     eig = np.linalg.eigvals(A)
-    eig = sorted(eig, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    # by (real, imag) rounded to 12 digits; lexsort is stable, so ties
+    # keep eigvals' order
+    eig = eig[np.lexsort((np.round(eig.imag, 12), np.round(eig.real, 12)))]
     sq = tol ** 0.5
     scale = max(1.0, float(np.max(np.abs(A))))
     real = np.real(eig)

@@ -15,19 +15,23 @@ Frame's ``order``:
 
 Verification reads k = 1, the Ricci-type classification k = 0.  No
 stage reads a derivative of R or of the symbols.  One
-:meth:`wefe.jets.JetContext.hess` gather takes the order-k jets of
-d_p d_q g_ij from g, each of the pairs p <= q and i <= j once, and rho's
-linear term comes straight from them: (W + W^T - B - C)/2 with
-W_kj = g^il d_i d_k g_jl, B_jk = g^il d_i d_l g_jk and
-C_jk = g^il d_j d_k g_il, plus the quadratic term in the symbols.  R's
-values are the same second derivatives antisymmetrized, minus the
-quadratic term at order 0.  Since nabla g = 0, nabla P is nabla rho
-less dJ g, over n - 2.  g is one :func:`wefe.jets.eval_jets` call, which
-evaluates each shared node (a repeated conformal factor) once; h is a
-second call.  Every index contraction between jets is one call of
-:meth:`wefe.jets.JetContext.contract`.  There is no single-point API: a
-query at one point reads index 0 of a one-point :class:`Frame` from
-:func:`frame_at`.
+:meth:`wefe.jets.JetContext.hess` gather takes the order-k jets
+d2[pq, ij] = d_p d_q g_ij from g, each of the pairs p <= q and i <= j
+once.  rho's linear term is one contraction of them, over the pairs
+i <= l, with the pair-weighted g^il: the packed form of
+(W + W^T - B - C)/2, W_kj = g^il d_i d_k g_jl, B_jk = g^il d_i d_l g_jk
+and C_jk = g^il d_j d_k g_il, which never forms the n^4 jets of W.  The
+quadratic term in the symbols follows.  R's values are the values of d2
+unpacked and antisymmetrized, minus the quadratic term at order 0.
+Since nabla g = 0, nabla P is nabla rho less dJ g, over n - 2.  g is
+one :func:`wefe.jets.eval_jets` call, which evaluates each shared node
+(a repeated conformal factor) once; h is a second call.  The jets of
+g^-1 are one Newton step from the numeric inverse in closed form, two
+stacked matmuls; every other index contraction between jets is one call
+of :meth:`wefe.jets.JetContext.contract`.  Every value field is an owned
+copy, so a Frame kept alive holds no jet array.  There is no
+single-point API: a query at one point reads index 0 of a one-point
+:class:`Frame` from :func:`frame_at`.
 
 Curvature sign conventions are frozen in :mod:`wefe.constants`: the
 valence-4 curvature is R(X,Y,Z,U) = g((nabla_[X,Y] - [nabla_X,
@@ -39,6 +43,7 @@ Kulkarni-Nomizu product.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -50,13 +55,14 @@ from .errors import (DimensionError, DomainError, SignatureMismatch,
                      SingularMetric)
 
 _DET_TOL = 1e-12
-# frame_at keeps the last Frames, and the jet arrays their value views
-# point into, alive in the heap.  Without that, glibc returns the memory
-# to the OS after every operation and faults it back in: on a 2-CPU VM,
-# certify-sweep took 777 minor page faults per operation with no Frame
-# kept, against 7.6-95 with the last 16 kept, and op_p50_ms rose from
-# 7.14 to 8.77 ms.  The keep-alive stays until one fixed jet workspace
-# holds these buffers (ROADMAP item 9).
+# frame_at keeps the last Frames alive in the heap.  A Frame owns its
+# value fields and holds no jet array, 0.63 MB at 100 points and n = 4.
+# Without the keep-alive, glibc returns the memory to the OS after every
+# operation and faults it back in: on a 2-CPU VM, certify-sweep took 777
+# minor page faults per operation with no Frame kept, against 7.6-95
+# with the last 16 kept (then with their jet arrays), and op_p50_ms rose
+# from 7.14 to 8.77 ms.  The keep-alive stays until one fixed jet
+# workspace holds these buffers (ROADMAP item 9).
 _FRAME_CACHE_SIZE = 16
 
 
@@ -138,11 +144,14 @@ class Frame:
         # docstring; truncating a jet to order k is the slice [..., :N_k]
         ck2, ck1, ck = (J.jet_context(n, k + d) for d in (2, 1, 0))
         c0, Nk, S = J.jet_context(n, 0), ck.N, ck.pair_index
-        iu, ju = ck.pairs
 
         def values(a):
-            """(comp..., m, N) jets -> (m, comp...) values."""
-            v = a[..., 0]
+            """(comp..., m, N) jets -> (m, comp...) values, a view of an
+            owned copy, so a kept Frame holds no jet array.  The copy
+            keeps the point axis last in memory: numpy's einsum over
+            (m, n, n) fields runs its inner loop over the points then,
+            four times faster than over C-ordered fields at m = 100."""
+            v = a[..., 0].copy()
             return v.transpose(v.ndim - 1, *range(v.ndim - 1))
 
         # metric jets g_ij, i <= j, at order k + 2, each shared node
@@ -152,63 +161,78 @@ class Frame:
         gk = gP[..., :Nk][S]
         self.g0 = values(gk)
 
-        _require(np.abs(np.linalg.det(self.g0)) >= _DET_TOL, pts,
+        # one eigvalsh serves both checks: |det g| is |prod of eigenvalues|
+        lam = np.linalg.eigvalsh(self.g0)
+        _require(np.abs(np.prod(lam, axis=1)) >= _DET_TOL, pts,
                  SingularMetric, f"{spec.name}: |det g| < {_DET_TOL}")
-        _require(np.sum(np.linalg.eigvalsh(self.g0) < 0.0, axis=1)
+        _require(np.sum(lam < 0.0, axis=1)
                  == (spec.signature == "lorentzian"), pts, SignatureMismatch,
                  f"{spec.name}: eigenvalue signs do not match "
                  f"{spec.signature} tag")
 
-        # order-k jet-ring metric inverse: one Newton step X(2 - gX) from
-        # the numeric inverse doubles the exact order from 0 to 1.  It is
-        # taken at order 0 too, so every order-0 field is bit-identical
-        # to the order-1 one
+        # order-k jets of g^-1, taken at order 0 too, so every order-0
+        # field is bit-identical to the order-1 one
         ginv0 = np.linalg.inv(self.g0)
-        X = np.zeros_like(gk)
-        X[..., 0] = ginv0.transpose(1, 2, 0)
-        ginvJ = 2.0 * X - ck.contract(X, ck.contract(gk, X))
+        ginvJ = _inverse_jets(gk, ginv0)
         self.ginv0 = ginv0
 
         # Christoffel symbols as order-k jets, lowered and raised
         dgJ = ck1.grad(gP[..., :ck1.N])[:, S]  # [a, i, j] = d_a g_ij
-        lowk = 0.5 * (dgJ.transpose(2, 0, 1, 3, 4)
-                      + dgJ.transpose(2, 1, 0, 3, 4)
-                      - dgJ)  # low[k, i, j] = G_kij
+        lowk = dgJ.transpose(2, 0, 1, 3, 4) + dgJ.transpose(2, 1, 0, 3, 4)
+        lowk -= dgJ
+        lowk *= 0.5                    # low[k, i, j] = G_kij
         upJ = ck.contract(ginvJ, lowk)  # up[k, i, j] = Gamma^k_ij
         self.gamma0 = values(upJ)     # (m, k, i, j)
 
         # second metric derivatives as order-k jets, each pair once:
-        # d2[pq, ij] = d_p d_q g_ij for p <= q and i <= j, unpacked to
-        # F[i, j, k, l] = d_i d_k g_jl, which is symmetric in (j, l)
+        # d2[pq, ij] = d_p d_q g_ij for p <= q and i <= j; R reads only
+        # their values, unpacked to F[i, j, k, l] = d_i d_k g_jl
         d2 = ck2.hess(gP)
-        F = d2[S[:, None, :, None], S[None, :, None, :]]
+        F = d2[..., 0][S[:, None, :, None], S[None, :, None, :]]
 
         # curvature R~(i,j,k,l) = D - (D with i <-> j) as values, where
         # D[i, j, k, l] = (F[i, j, k, l] - F[i, j, l, k])/2 - G_sil Gamma^s_jk
-        D = (0.5 * (F[..., 0] - F[..., 0].transpose(0, 1, 3, 2, 4))
-             - c0.contract(lowk[..., :1].transpose(2, 1, 0, 3, 4),
-                           upJ[..., :1])[..., 0].transpose(1, 2, 3, 0, 4))
-        self.riemann0 = RIEMANN_SIGN * (D - D.transpose(1, 0, 2, 3, 4)
-                                        ).transpose(4, 0, 1, 2, 3)
+        # (in place: each fresh array of this size costs its pages)
+        D = F - F.transpose(0, 1, 3, 2, 4)
+        D *= 0.5
+        D -= c0.contract(lowk[..., :1].transpose(2, 1, 0, 3, 4),
+                         upJ[..., :1])[..., 0].transpose(1, 2, 3, 0, 4)
+        R = D - D.transpose(1, 0, 2, 3, 4)
+        R *= RIEMANN_SIGN
+        self.riemann0 = R.transpose(4, 0, 1, 2, 3)
 
         # Ricci as order-k jets, the trace g^il R~(i, j, k, l):
-        #   ric_jk = (W_kj + W_jk - B_jk - C_jk)/2
+        #   ric_jk = sum_{i <= l} w_il g^il L[il, jk]
         #            + (Y[i, s, j] - delta_ij v_s) Gamma^s_ik
-        # with W_kj = g^il F[i, l, k, j], B_jk + C_jk = g^il (d_i d_l g_jk
-        # + d_j d_k g_il) summed over the pairs i <= l, Y[i, s, j] =
-        # g^il G_sjl and v_s = Y[i, s, i]
-        ginvk = ginvJ.reshape(n * n, m, Nk)
-        gw = ginvJ[iu, ju] * ck.pair_weight[:, None, None]
-        W = ck.contract(ginvk, F.reshape(n * n, n, n, m, Nk))
-        BC = ck.contract(gw, d2 + d2.transpose(1, 0, 2, 3))[S]
+        # with w the pair weights (2 off the diagonal) and, over the
+        # packed pairs,
+        #   L[il, jk] = (Z[ij, lk] + Z[ik, lj])/4 - Z[il, jk]/2,
+        #   Z[P, Q] = d2[P, Q] + d2[Q, P],
+        # which is (W_kj + W_jk - B_jk - C_jk)/2 with W_kj = g^il d_i d_k
+        # g_jl, B_jk = g^il d_i d_l g_jk and C_jk = g^il d_j d_k g_il,
+        # without the n^4 jets of W; Y[i, s, j] = g^il G_sjl and
+        # v_s = Y[i, s, i].  The factor 1/2 of L rides on the weights.
+        # Z and L live to the end, like every other stage: freed early,
+        # they raised in-process certify-sweep on a 2-CPU VM from about
+        # 12 to 150 minor page faults per operation (glibc trims the
+        # heap top and faults it back in)
+        P = len(ck.pairs[0])
+        Z = d2 + d2.transpose(1, 0, 2, 3)
+        Zf = Z.reshape(P * P, m, Nk)
+        lead, cross = _rho_pair_tables(n)
+        L = Zf[lead]
+        L += Zf[cross]
+        L *= 0.5
+        L -= Z
+        gw = ginvJ[ck.pairs] * (0.5 * ck.pair_weight)[:, None, None]
         Y = ck.contract(ginvJ, lowk.transpose(2, 0, 1, 3, 4))
         diag = np.arange(n)
         Y[diag, :, diag] -= np.trace(Y, axis1=0, axis2=2)
         Yt = Y.transpose(2, 0, 1, 3, 4).reshape(n, n * n, m, Nk)
         upt = upJ.transpose(1, 0, 2, 3, 4).reshape(n * n, n, m, Nk)
-        ricJ = RICCI_SIGN * (0.5 * (W + W.transpose(1, 0, 2, 3) - BC)
-                             + ck.contract(Yt, upt))
-        tauJ = ck.contract(ginvk, ricJ.reshape(n * n, m, Nk))
+        ricJ = RICCI_SIGN * (ck.contract(gw, L)[S] + ck.contract(Yt, upt))
+        tauJ = ck.contract(ginvJ.reshape(n * n, m, Nk),
+                           ricJ.reshape(n * n, m, Nk))
         self.ric0 = values(ricJ)                 # (m, i, j)
         self.tau0 = values(tauJ)                 # (m,)
 
@@ -265,6 +289,32 @@ def _require(ok, pts, error, msg):
         i = int(np.argmin(ok))
         raise error(f"{msg} at sample point {i} "
                     f"({', '.join(f'{x:.6g}' for x in pts[i])})")
+
+
+def _inverse_jets(gk, ginv0):
+    """Order-k jets of g^-1, shape (n, n, m, N), from the jets ``gk`` of
+    g and its numeric inverse ``ginv0`` (m, n, n).  One Newton step
+    2X - X(gX) from the constant jet X = ginv0 doubles the exact order
+    from 0 to 1.  In closed form it is 2X - X g0 X and -X (d g) X: two
+    matmuls stacked over (point, coefficient), bit for bit the two
+    jet-ring contractions."""
+    X = ginv0[:, None]                                     # (m, 1, n, n)
+    XgX = X @ (np.ascontiguousarray(gk.transpose(2, 3, 0, 1)) @ X)
+    out = np.zeros_like(XgX)                               # (m, N, n, n)
+    out[:, 0] = 2.0 * ginv0
+    out -= XgX
+    return out.transpose(2, 3, 0, 1)
+
+
+@functools.cache
+def _rho_pair_tables(n):
+    """Flat indices into the (P, P) pair axes of rho's Z (see
+    Frame._compute), rows the pairs i <= l and columns the pairs j <= k:
+    ``lead`` picks Z[ij, lk] and ``cross`` Z[ik, lj]."""
+    ctx = J.jet_context(n, 0)
+    S, (iu, ju), P = ctx.pair_index, ctx.pairs, len(ctx.pairs[0])
+    i, l, j, k = iu[:, None], ju[:, None], iu[None, :], ju[None, :]
+    return S[i, j] * P + S[l, k], S[i, k] * P + S[l, j]
 
 
 def kn_product(A, B):

@@ -165,6 +165,33 @@ def test_param_named_like_a_coordinate_names_line():
                                source="toy.manifest")
 
 
+@pytest.mark.parametrize("param, msg", [
+    ("param: b 5 0 1", r"param b: default 5\.0 outside \[0\.0, 1\.0\]"),
+    ("param: b -0.5 0 1", r"param b: default -0\.5 outside \[0\.0, 1\.0\]"),
+    ("param: b nan 0 1", r"param b: default nan outside \[0\.0, 1\.0\]"),
+    ("param: b 1 2 0", r"param b: default 1\.0 outside \[2\.0, 0\.0\]"),
+])
+def test_param_default_outside_its_range_names_line(param, msg):
+    with pytest.raises(ManifestError, match=r"toy\.manifest:14: " + msg):
+        catalog.parse_manifest(GOOD + param + "\n", source="toy.manifest")
+    # the ends of the range are admissible defaults
+    e = catalog.parse_manifest(GOOD + "param: b 0 0 1\nparam: c 1 0 1\n")
+    assert e.build().flags["params"] == {"a": 1.0, "b": 0.0, "c": 1.0}
+
+
+@pytest.mark.parametrize("box, msg", [
+    ("box: 1 -1", r"box: lower bound 1\.0 is not below upper bound -1\.0"),
+    ("box: 0.5 0.5", r"box: lower bound 0\.5 is not below upper bound 0\.5"),
+    ("box: -inf 1", r"box: expected a finite number, got '-inf'"),
+    ("box: 0 nan", r"box: expected a finite number, got 'nan'"),
+    ("box: 0", r"box: not enough values"),
+])
+def test_bad_box_names_line(box, msg):
+    text = GOOD.replace("box: -1 1\n", box + "\n", 1)
+    with pytest.raises(ManifestError, match=r"toy\.manifest:6: " + msg):
+        catalog.parse_manifest(text, source="toy.manifest")
+
+
 def test_repeated_coordinate_name_names_line():
     with pytest.raises(ManifestError,
                        match=r"toy\.manifest:4: coords: 'x' repeats"):

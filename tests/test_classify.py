@@ -17,6 +17,41 @@ def test_jordan_diagonal():
     assert [e.real for e in eig] == [1.0, 2.0, 3.0, 4.0]
 
 
+def _rounded_key_order(eig):
+    """The eigenvalue order of Python's stable sort on
+    (round(real, 12), round(imag, 12))."""
+    return sorted(eig, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+
+
+def test_jordan_eigenvalue_order_matches_rounded_key_sort():
+    # a complex pair, a real tie that differs only below 12 digits (so
+    # the stable order decides), an exact double and distinct reals,
+    # each permuted by a random similarity; then random matrices
+    rng = np.random.default_rng(3)
+    blocks = [np.diag([1.0, 1.0 + 1e-14, 1.0 - 1e-14, -2.0]),
+              np.diag([2.0, 2.0, 5.0, -1.0]),
+              np.array([[0.5, -1.0, 0, 0], [1.0, 0.5, 0, 0],
+                        [0, 0, 0.5, 0], [0, 0, 0, 0.5]])]
+    mats = []
+    for B in blocks:
+        for _ in range(5):
+            S = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+            mats.append(S @ B @ np.linalg.inv(S))
+    mats += [rng.standard_normal((4, 4)) for _ in range(40)]
+    ties = 0
+    for A in mats:
+        raw = np.linalg.eigvals(A)
+        want = _rounded_key_order(raw)
+        keys = [(round(z.real, 12), round(z.imag, 12)) for z in want]
+        ties += len(set(keys)) < len(keys)
+        try:
+            _, got, _ = classify.jordan_type(A)
+        except IllConditioned:
+            continue
+        assert [complex(z) for z in got] == [complex(z) for z in want]
+    assert ties >= 10       # the tie cases really tie on the rounded key
+
+
 def test_jordan_repeated_but_diagonalizable():
     tag, _, _ = classify.jordan_type(np.diag([2.0, 2.0, 2.0, 5.0]))
     assert tag == "I.a"

@@ -450,6 +450,26 @@ def test_verify_manifest_names_must_be_distinct(tmp_path, capsys, old, new,
     assert f"clash.manifest:{line}: {frag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, line, frag", [
+    ("density: (add 2 x)", "param: a 5 0 1\ndensity: (add 2 x)", 19,
+     "param a: default 5.0 outside [0.0, 1.0]"),
+    ("box: -1 1\nflag", "box: 1.0 -1.0\nflag", 9,
+     "box: lower bound 1.0 is not below upper bound -1.0"),
+    ("box: -1 1\nflag", "box: 0 0\nflag", 9,
+     "box: lower bound 0.0 is not below upper bound 0.0"),
+    ("box: -1 1\nflag", "box: -1 inf\nflag", 9,
+     "box: expected a finite number, got 'inf'"),
+], ids=["param-default", "box-reversed", "box-empty", "box-infinite"])
+def test_verify_manifest_bad_ranges_exit_4(tmp_path, capsys, old, new, line,
+                                           frag):
+    # an out-of-range default used to fail only at build (exit 3), and a
+    # reversed or empty box certified is_solution from a null set (exit 0)
+    path = tmp_path / "range.manifest"
+    path.write_text(GOOD_MANIFEST.replace(old, new))
+    assert run(["verify", "--manifest", str(path)]) == 4
+    assert f"range.manifest:{line}: {frag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("make", [
     lambda p: None,
     lambda p: p.mkdir(),

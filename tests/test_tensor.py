@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from wefe import catalog, tensor
+from wefe import catalog, jets, tensor
 from wefe.constants import RICCI_SIGN, RIEMANN_SIGN
 from wefe.errors import (DimensionError, DomainError, SignatureMismatch,
                          SingularMetric)
@@ -120,6 +120,114 @@ def test_frame_at_keeps_at_most_the_last_frames_alive():
     alive = [r() is not None for r in refs]
     assert sum(alive) <= tensor._FRAME_CACHE_SIZE
     assert all(alive[-tensor._FRAME_CACHE_SIZE:])
+
+
+# -- the Frame's metric stages against the formulas they replaced -------
+
+def _metric_stages(spec, pts, k):
+    """As Frame._compute forms them: the order-k context, the packed
+    metric jets gP at order k + 2, their order-k jets gk unpacked to
+    (n, n, m, N) and the numeric inverse."""
+    n = spec.n
+    ck2, ck = jets.jet_context(n, k + 2), jets.jet_context(n, k)
+    gP = jets.eval_jets([spec.g[i][j] for i in range(n)
+                         for j in range(i, n)], pts, ck2)
+    gk = gP[..., :ck.N][ck.pair_index]
+    ginv0 = np.linalg.inv(gk[..., 0].transpose(2, 0, 1))
+    return ck, gP, gk, ginv0
+
+
+def _newton_by_contract(ck, gk, ginv0):
+    """The jet-ring Newton step 2X - X(gX) from the constant jet X of the
+    numeric inverse, as two contract calls."""
+    X = np.zeros_like(gk)
+    X[..., 0] = ginv0.transpose(1, 2, 0)
+    return 2.0 * X - ck.contract(X, ck.contract(gk, X))
+
+
+def _rho_jets_by_wbc(spec, pts, k):
+    """Oracle for rho's order-k jets, its second-derivative term as
+    (W + W^T - B - C)/2 over the n^4 jets F[i, j, k, l] = d_i d_k g_jl:
+    W_kj = g^il d_i d_k g_jl and B_jk + C_jk = g^il (d_i d_l g_jk
+    + d_j d_k g_il) over the pairs; its quadratic term as the Frame's."""
+    ck, gP, gk, ginv0 = _metric_stages(spec, pts, k)
+    n, m, N, S = spec.n, pts.shape[0], ck.N, ck.pair_index
+    ck1, ck2 = jets.jet_context(n, k + 1), jets.jet_context(n, k + 2)
+    ginvJ = _newton_by_contract(ck, gk, ginv0)
+    d2 = ck2.hess(gP)
+    F = d2[S[:, None, :, None], S[None, :, None, :]]
+    W = ck.contract(ginvJ.reshape(n * n, m, N), F.reshape(n * n, n, n, m, N))
+    gw = ginvJ[ck.pairs] * ck.pair_weight[:, None, None]
+    BC = ck.contract(gw, d2 + d2.transpose(1, 0, 2, 3))[S]
+    dgJ = ck1.grad(gP[..., :ck1.N])[:, S]
+    low = 0.5 * (dgJ.transpose(2, 0, 1, 3, 4) + dgJ.transpose(2, 1, 0, 3, 4)
+                 - dgJ)
+    up = ck.contract(ginvJ, low)
+    Y = ck.contract(ginvJ, low.transpose(2, 0, 1, 3, 4))
+    Y[np.arange(n), :, np.arange(n)] -= np.trace(Y, axis1=0, axis2=2)
+    quad = ck.contract(Y.transpose(2, 0, 1, 3, 4).reshape(n, n * n, m, N),
+                       up.transpose(1, 0, 2, 3, 4).reshape(n * n, n, m, N))
+    lin = 0.5 * (W + W.transpose(1, 0, 2, 3) - BC)
+    return ck, lin, RICCI_SIGN * (lin + quad)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("entry", catalog.entry_ids())
+def test_closed_form_inverse_is_the_newton_step_bit_for_bit(entry, order):
+    spec = catalog.build(entry)
+    ck, _, gk, ginv0 = _metric_stages(spec, sample_box(spec.box, 20, 0),
+                                      order)
+    got = tensor._inverse_jets(gk, ginv0)
+    want = _newton_by_contract(ck, gk, ginv0)
+    assert got.shape == want.shape
+    assert (np.ascontiguousarray(got).tobytes()
+            == np.ascontiguousarray(want).tobytes())
+    # g g^-1 = I through order 1: the identity value, no derivative
+    eye = ck.contract(gk, got)
+    np.testing.assert_allclose(eye[..., 0], np.broadcast_to(
+        np.eye(spec.n)[:, :, None], eye.shape[:-1]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(eye[..., 1:], 0.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("entry", catalog.entry_ids())
+def test_packed_rho_term_matches_the_wbc_formula(entry, order):
+    # rho's values and, at order 1, its first derivatives, which the
+    # Frame keeps as cov_ric less the Christoffel terms; round-off is
+    # relative to the second-derivative term, which in ex66-kundt is
+    # 100 times rho
+    spec = catalog.build(entry)
+    pts = sample_box(spec.box, 20, 0)
+    fr = Frame(spec, pts, order)
+    ck, lin, want = _rho_jets_by_wbc(spec, pts, order)
+    scale = max(1.0, float(np.abs(lin).max()))
+    np.testing.assert_allclose(fr.ric0, want[..., 0].transpose(2, 0, 1),
+                               rtol=0, atol=1e-14 * scale)
+    if order == 1:
+        G, r0 = fr.gamma0, fr.ric0
+        d_ric = (fr.cov_ric + np.einsum("msab,msc->mabc", G, r0)
+                 + np.einsum("msac,mbs->mabc", G, r0))
+        np.testing.assert_allclose(
+            d_ric, ck.grad(want)[..., 0].transpose(3, 0, 1, 2),
+            rtol=0, atol=1e-14 * scale)
+
+
+def _root(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("m, order", [(100, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("entry", ["ex37-warped3d", "ex66-kundt"])
+def test_frame_fields_are_not_views_into_larger_arrays(entry, m, order):
+    # a kept Frame holds its values, and no jet array they were read from
+    spec = catalog.build(entry)
+    fr = Frame(spec, sample_box(spec.box, m, 0), order)
+    fields = {k: v for k, v in vars(fr).items() if isinstance(v, np.ndarray)}
+    assert set(ORDER0_FIELDS) <= set(fields)
+    for name, a in fields.items():
+        assert _root(a).nbytes == a.nbytes, name
 
 
 @pytest.mark.parametrize("order", [-1, 2, 3, 1.5])
