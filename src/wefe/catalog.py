@@ -109,6 +109,9 @@ def parse_manifest(text, source="<manifest>"):
         dup = next(c for i, c in enumerate(coords) if c in coords[:i])
         raise ManifestError(f"{source}:{entry['lines']['coords']}: coords: "
                             f"{dup!r} repeats")
+    if entry["kundt"] is not None and entry["kundt"] not in coords:
+        raise ManifestError(f"{source}:{entry['lines']['kundt']}: kundt: "
+                            f"{entry['kundt']!r} is not a coordinate")
     for name in entry["params"]:
         if name in coords:
             field = f"param {name}"
@@ -134,8 +137,8 @@ _SINGLE_KEYS = ("id", "dimension", "signature", "coords", "citation",
 def _parse_line(entry, key, value, lineno):
     """Store one line.  Every field but ``box`` may be given once:
     ``entry["lines"]`` maps each field to its line, so a repeat names
-    both lines.  A box needs finite bounds lo < hi, and a param's default
-    must lie in its range."""
+    both lines.  The dimension lies in 3..6, a box needs finite bounds
+    lo < hi, and a param's default must lie in its range."""
     if key == "box":
         try:
             lo, hi = (_finite(x) for x in value.split())
@@ -178,7 +181,9 @@ def _parse_line(entry, key, value, lineno):
     elif key.startswith("metric"):
         entry["metric"][(i, j)] = value
     elif key == "dimension":
-        entry["dimension"] = int(value)
+        n = entry["dimension"] = int(value)
+        if not 3 <= n <= 6:
+            raise ManifestError(f"dimension: {n} outside 3..6")
     elif key == "coords":
         entry["coords"] = value.split()
     elif key == "signature" and value not in ("lorentzian", "riemannian"):

@@ -175,30 +175,27 @@ def optical_scalars(spec, V, p, tol=1e-8):
     p = np.asarray(p, dtype=float)
     fr = T.frame_at(spec, p[None, :], 0)
     n, ctx = spec.n, J.jet_context(spec.n, 1)
-    pts = p[None, :]
+    g, gamma = fr.g0[0], fr.gamma0[0]
 
-    vJ = J.eval_jets(V, pts, ctx)                   # V^k jets
-    wJ = ctx.contract(J.eval_jets(spec.g, pts, ctx), vJ)  # V_j jets
-    v0, w0 = vJ[:, 0, 0], wJ[:, 0, 0]
+    vJ = J.eval_jets(V, p[None, :], ctx)            # V^k jets
+    v0 = vJ[:, 0, 0]
+    w0 = g @ v0                                     # V_j
 
     vv = float(np.dot(w0, v0))
     scale = max(1.0, float(np.max(np.abs(v0))) ** 2)
     if abs(vv) > tol * scale:
         raise NotLightlike(f"g(V,V) = {vv:.3e} at point")
 
-    dv = ctx.grad(vJ)[..., 0, 0]                    # dv[i, k] = d_i V^k
-    dw = ctx.grad(wJ)[..., 0, 0]                    # dw[i, j] = d_i V_j
-    gamma = fr.gamma0[0]
-
-    acc = np.einsum("i,ij->j", v0, dv) \
-        + np.einsum("i,jis,s->j", v0, gamma, v0)    # (nabla_V V)^j
+    # dv[i, k] = nabla_i V^k = d_i V^k + Gamma^k_is V^s
+    dv = ctx.grad(vJ)[..., 0, 0] + np.einsum("kis,s->ik", gamma, v0)
+    acc = v0 @ dv                                   # (nabla_V V)^k
     vnorm = np.dot(v0, v0)
     perp = acc - (np.dot(acc, v0) / vnorm) * v0
     if np.max(np.abs(perp)) > tol * scale:
         raise NotGeodesic(f"nabla_V V not parallel to V, |perp| = "
                           f"{np.max(np.abs(perp)):.3e}")
 
-    B = dw - np.einsum("sij,s->ij", gamma, w0)      # nabla_i V_j
+    B = dv @ g                                      # nabla_i V_j
     ginv = fr.ginv0[0]
     Bup = ginv @ B @ ginv.T                         # nabla^i V^j
     theta = float(np.einsum("ij,ij", ginv, B)) / (n - 2)

@@ -4,10 +4,12 @@ polynomial pipeline, and ODE branch runs with CSV export."""
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import inspect
 import json
 import math
+import os
 import sys
 import time
 
@@ -24,6 +26,20 @@ EXIT_BAD_INPUT = 4
 
 # plan points tried in turn for the default classification point
 PROBE_POINTS = 8
+
+# The allocator policy of the wefe process, on glibc only: never trim the
+# heap (M_TRIM_THRESHOLD, -1) and keep arrays up to glibc's 64-bit
+# maximum of 32 MiB in it (M_MMAP_THRESHOLD, -3), so the buffers a Frame
+# frees are reused by the next one, not returned to the OS and faulted
+# back in.  Setting either turns off glibc's dynamic thresholds, so both
+# are set.  A host that imports the library keeps its own allocator.
+try:
+    _GLIBC = bool(os.confstr("CS_GNU_LIBC_VERSION"))
+except (AttributeError, ValueError, OSError):
+    _GLIBC = False
+if _GLIBC:
+    ctypes.CDLL(None).mallopt(-1, -1)
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)
 
 
 def _round_floats(obj):

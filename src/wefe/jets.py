@@ -482,8 +482,8 @@ class JetContext:
 
 
 def _gather(a, src, mult):
-    """a[..., src] * mult, the leading axis of ``src`` first.  In place: a
-    second array of that size costs more in fresh pages than the product."""
+    """a[..., src] * mult, the leading axis of ``src`` first, the product
+    taken in place on the gathered copy."""
     out = a[..., src]
     out *= mult
     d = a.ndim - 1     # the leading axis of src in the gathered product

@@ -29,9 +29,9 @@ one :func:`wefe.jets.eval_jets` call, which evaluates each shared node
 g^-1 are one Newton step from the numeric inverse in closed form, two
 stacked matmuls; every other index contraction between jets is one call
 of :meth:`wefe.jets.JetContext.contract`.  Every value field is an owned
-copy, so a Frame kept alive holds no jet array.  There is no
-single-point API: a query at one point reads index 0 of a one-point
-:class:`Frame` from :func:`frame_at`.
+copy, not a view into a jet array.  There is no single-point API: a
+query at one point reads index 0 of a one-point :class:`Frame` from
+:func:`frame_at`, which builds a new Frame on every call.
 
 Curvature sign conventions are frozen in :mod:`wefe.constants`: the
 valence-4 curvature is R(X,Y,Z,U) = g((nabla_[X,Y] - [nabla_X,
@@ -44,7 +44,6 @@ Kulkarni-Nomizu product.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,15 +54,6 @@ from .errors import (DimensionError, DomainError, SignatureMismatch,
                      SingularMetric)
 
 _DET_TOL = 1e-12
-# frame_at keeps the last Frames alive in the heap.  A Frame owns its
-# value fields and holds no jet array, 0.63 MB at 100 points and n = 4.
-# Without the keep-alive, glibc returns the memory to the OS after every
-# operation and faults it back in: on a 2-CPU VM, certify-sweep took 777
-# minor page faults per operation with no Frame kept, against 7.6-95
-# with the last 16 kept (then with their jet arrays), and op_p50_ms rose
-# from 7.14 to 8.77 ms.  The keep-alive stays until one fixed jet
-# workspace holds these buffers (ROADMAP item 9).
-_FRAME_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -147,10 +137,10 @@ class Frame:
 
         def values(a):
             """(comp..., m, N) jets -> (m, comp...) values, a view of an
-            owned copy, so a kept Frame holds no jet array.  The copy
-            keeps the point axis last in memory: numpy's einsum over
-            (m, n, n) fields runs its inner loop over the points then,
-            four times faster than over C-ordered fields at m = 100."""
+            owned copy that keeps the point axis last in memory: numpy's
+            einsum over (m, n, n) fields runs its inner loop over the
+            points then, four times faster than over C-ordered fields at
+            m = 100."""
             v = a[..., 0].copy()
             return v.transpose(v.ndim - 1, *range(v.ndim - 1))
 
@@ -192,7 +182,6 @@ class Frame:
 
         # curvature R~(i,j,k,l) = D - (D with i <-> j) as values, where
         # D[i, j, k, l] = (F[i, j, k, l] - F[i, j, l, k])/2 - G_sil Gamma^s_jk
-        # (in place: each fresh array of this size costs its pages)
         D = F - F.transpose(0, 1, 3, 2, 4)
         D *= 0.5
         D -= c0.contract(lowk[..., :1].transpose(2, 1, 0, 3, 4),
@@ -212,10 +201,6 @@ class Frame:
         # g_jl, B_jk = g^il d_i d_l g_jk and C_jk = g^il d_j d_k g_il,
         # without the n^4 jets of W; Y[i, s, j] = g^il G_sjl and
         # v_s = Y[i, s, i].  The factor 1/2 of L rides on the weights.
-        # Z and L live to the end, like every other stage: freed early,
-        # they raised in-process certify-sweep on a 2-CPU VM from about
-        # 12 to 150 minor page faults per operation (glibc trims the
-        # heap top and faults it back in)
         P = len(ck.pairs[0])
         Z = d2 + d2.transpose(1, 0, 2, 3)
         Zf = Z.reshape(P * P, m, Nk)
@@ -328,29 +313,12 @@ def kn_product(A, B):
     return X - X.transpose(0, 1, 2, 4, 3)
 
 
-# -- frame keep-alive ----------------------------------------------------
-
-_recent_frames = deque(maxlen=_FRAME_CACHE_SIZE)
-
-
 def frame_at(spec, pts, order=1):
-    """A new batched Frame of the given order, kept alive among the last
-    ``_FRAME_CACHE_SIZE`` built."""
-    fr = Frame(spec, pts, order)
-    _recent_frames.append(fr)
-    return fr
+    """A new batched Frame of the given order."""
+    return Frame(spec, pts, order)
 
 
 # -- warped-product Ricci oracle -----------------------------------------
-
-def warped_ricci(eps, f, fp, fpp, fiber_ricci, fiber_metric):
-    """Independent Ricci oracle for a warped product eps dt^2 + f^2 g_F
-    with Einstein-or-known fiber: given f and its derivatives at the
-    point plus the fiber Ricci and metric component blocks, assemble the
-    (1+d)-dimensional coordinate Ricci matrix (base coordinate first)."""
-    return multiply_warped_ricci(eps, [(f, fp, fpp, fiber_ricci,
-                                        fiber_metric)])
-
 
 def multiply_warped_ricci(eps, fibers):
     """Ricci oracle for eps dt^2 + sum_a f_a^2 g_{F_a}: ``fibers`` is a

@@ -271,7 +271,8 @@ def test_criterion_9_oracles():
             gF = chart * np.eye(3)
             rhoF = 2.0 * kappa * gF
             phi, phip, phipp = phi_fns(p[0])
-            rho = tensor.warped_ricci(-1.0, phi, phip, phipp, rhoF, gF)
+            rho = tensor.multiply_warped_ricci(
+                -1.0, [(phi, phip, phipp, rhoF, gF)])
             worst_warp = max(worst_warp, np.max(np.abs(rho - fr.ric0[i])))
 
     ok = worst_fd < 1e-5 and worst_warp < 1e-9

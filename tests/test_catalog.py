@@ -192,6 +192,27 @@ def test_bad_box_names_line(box, msg):
         catalog.parse_manifest(text, source="toy.manifest")
 
 
+@pytest.mark.parametrize("n", [2, 7])
+def test_dimension_outside_3_to_6_names_line(n):
+    # even with n coordinates and n box lines
+    text = (GOOD.replace("dimension: 3", f"dimension: {n}")
+            .replace("coords: x y z",
+                     "coords: " + " ".join(f"x{i}" for i in range(n)))
+            .replace("box: -1 1\n" * 3, "box: -1 1\n" * n))
+    with pytest.raises(ManifestError,
+                       match=rf"toy\.manifest:2: dimension: {n} outside "
+                             rf"3\.\.6$"):
+        catalog.parse_manifest(text, source="toy.manifest")
+
+
+def test_kundt_naming_no_coordinate_names_line():
+    with pytest.raises(ManifestError,
+                       match=r"toy\.manifest:14: kundt: 'zz' is not a "
+                             r"coordinate$"):
+        catalog.parse_manifest(GOOD + "kundt: zz\n", source="toy.manifest")
+    assert catalog.parse_manifest(GOOD + "kundt: y\n").kundt == "y"
+
+
 def test_repeated_coordinate_name_names_line():
     with pytest.raises(ManifestError,
                        match=r"toy\.manifest:4: coords: 'x' repeats"):

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, determinism, report shape."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -468,6 +472,50 @@ def test_verify_manifest_bad_ranges_exit_4(tmp_path, capsys, old, new, line,
     path.write_text(GOOD_MANIFEST.replace(old, new))
     assert run(["verify", "--manifest", str(path)]) == 4
     assert f"range.manifest:{line}: {frag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mangle, line, frag", [
+    # seven coordinates and seven box lines, consistent but for the range
+    (lambda s: s.replace("dimension: 4", "dimension: 7")
+     .replace("coords: t x y z", "coords: t x y z u v w")
+     .replace("box: -1 1\n", "box: -1 1\n" * 2, 3), 2,
+     "dimension: 7 outside 3..6"),
+    (lambda s: s.replace("dimension: 4", "dimension: 2"), 2,
+     "dimension: 2 outside 3..6"),
+    (lambda s: s.replace("density:", "kundt: zz\ndensity:"), 19,
+     "kundt: 'zz' is not a coordinate"),
+], ids=["dimension-7", "dimension-2", "kundt"])
+def test_verify_manifest_bad_field_exit_4(tmp_path, capsys, mangle, line,
+                                          frag):
+    # a dimension outside 3..6 used to fail at build without naming the
+    # file (exit 3), and a kundt field naming no coordinate passed (exit 0)
+    path = tmp_path / "field.manifest"
+    path.write_text(mangle(GOOD_MANIFEST))
+    assert run(["verify", "--manifest", str(path)]) == 4
+    assert f"field.manifest:{line}: {frag}" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not cli._GLIBC,
+                    reason="the allocator policy is set on glibc only")
+def test_whole_catalog_verify_takes_few_page_faults(tmp_path):
+    # the wefe process keeps freed heap memory for the next Frame, so
+    # after one warm-up run a whole-catalog verify takes almost no minor
+    # page faults
+    code = ("import resource, sys\n"
+            "from wefe import cli\n"
+            "argv = ['verify', '--out', sys.argv[1]]\n"
+            "assert cli.main(argv) == 0\n"
+            "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(3):\n"
+            "    assert cli.main(argv) == 0\n"
+            "f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print((f1 - f0) / 3)\n")
+    src = pathlib.Path(cli.__file__).parents[1]
+    res = subprocess.run([sys.executable, "-c", code,
+                          str(tmp_path / "verify.json")],
+                         check=True, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert float(res.stdout) < 100
 
 
 @pytest.mark.parametrize("make", [

@@ -4,14 +4,14 @@ import weakref
 import numpy as np
 import pytest
 
-from wefe import catalog, jets, tensor
+from wefe import catalog, classify, jets, tensor, weighted
 from wefe.constants import RICCI_SIGN, RIEMANN_SIGN
 from wefe.errors import (DimensionError, DomainError, SignatureMismatch,
                          SingularMetric)
 from wefe.jets import const, coord, exp, parse_sexpr, sin
 from wefe.sampling import resolve_seed, sample_box
 from wefe.tensor import (Frame, frame_at, kn_product, make_spec,
-                         multiply_warped_ricci, warped_ricci)
+                         multiply_warped_ricci)
 
 
 def round_sphere_spec(r=1.0):
@@ -66,7 +66,7 @@ def test_frame_at_never_returns_a_stale_frame():
     # frame_at builds every Frame from the spec it is given, so a rebuilt
     # spec with the same box and points never reads an older spec's fields
     pts = sample_box(catalog.build("ex66-kundt").box, 2, 1)
-    for k in range(3 * tensor._FRAME_CACHE_SIZE):
+    for k in range(48):
         spec = catalog.build("ex66-kundt", C=0.5 + 0.05 * k)
         fr = frame_at(spec, pts)
         assert fr.spec is spec
@@ -109,17 +109,27 @@ def test_frame_at_builds_a_new_frame_on_every_call():
     assert np.array_equal(a.ric0, b.ric0)
 
 
-def test_frame_at_keeps_at_most_the_last_frames_alive():
-    # frame_at keeps recent Frames, and their jet buffers, in the heap;
-    # only the last _FRAME_CACHE_SIZE of them stay reachable
+def test_no_frame_stays_reachable(monkeypatch):
+    # frame_at returns a new Frame and keeps no reference to it, and
+    # neither do verify and classify, so after gc.collect() no Frame that
+    # they built is reachable
+    refs = []
+
+    class Tracked(Frame):
+        def __init__(self, spec, pts, order=1):
+            super().__init__(spec, pts, order)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(tensor, "Frame", Tracked)
     spec = catalog.build("ex66-kundt")
     p = sample_box(spec.box, 1, 5)
-    refs = [weakref.ref(frame_at(spec, p, 0))
-            for _ in range(3 * tensor._FRAME_CACHE_SIZE)]
+    for order in (0, 1, 0):
+        frame_at(spec, p, order)
+    weighted.verify(spec, samples=4)
+    classify.classify(spec, p[0])
     gc.collect()
-    alive = [r() is not None for r in refs]
-    assert sum(alive) <= tensor._FRAME_CACHE_SIZE
-    assert all(alive[-tensor._FRAME_CACHE_SIZE:])
+    assert len(refs) == 5
+    assert all(r() is None for r in refs)
 
 
 # -- the Frame's metric stages against the formulas they replaced -------
@@ -508,7 +518,7 @@ def test_warped_ricci_cone():
     gF = chart * np.eye(2)
     rhoF = 1.0 * gF  # Gauss curvature 1
     t = 1.3
-    rho = warped_ricci(1.0, t, 1.0, 0.0, rhoF, gF)
+    rho = multiply_warped_ricci(1.0, [(t, 1.0, 0.0, rhoF, gF)])
     expect = np.zeros((3, 3))
     expect[1:, 1:] = (1.0 - 1.0) * gF  # kappa - (phi')^2 with kappa = 1
     np.testing.assert_allclose(rho, expect, atol=1e-14)
@@ -544,7 +554,8 @@ def test_warped_ricci_matches_full_computation(entry, kappa):
                 for q in specs]
         phip = (vals[2] - vals[0]) / (2 * dh)
         phipp = (vals[2] - 2 * vals[1] + vals[0]) / dh ** 2
-        rho = warped_ricci(-1.0, phi, phip, phipp, rhoF[0], gF[0])
+        rho = multiply_warped_ricci(-1.0,
+                                    [(phi, phip, phipp, rhoF[0], gF[0])])
         np.testing.assert_allclose(rho, fr.ric0[i], atol=1e-6)
 
 
