@@ -47,10 +47,10 @@ class RicciTypeReport:
         }
 
 
-def ricci_operator(fr):
-    """Mixed-index Ricci operator g^{-1} rho of a one-point Frame as an
+def ricci_operator(fr, i=0):
+    """Mixed-index Ricci operator g^{-1} rho at row ``i`` of a Frame as an
     n x n matrix."""
-    return np.einsum("ij,jk->ik", fr.ginv0[0], fr.ric0[0])
+    return np.einsum("ij,jk->ik", fr.ginv0[i], fr.ric0[i])
 
 
 def _rank(mat, cutoff):
@@ -136,28 +136,35 @@ def jordan_type(matrix, tol=DEFAULT_TOL):
     return tag, eig, degree
 
 
-def causal_character(fr):
-    """Tag of grad h at a one-point Frame by the sign of g(grad h, grad h),
-    with the value.  The dead band scales with |dh|^2 max(1, max|g^-1|),
-    so a small but non-null gradient keeps its character."""
-    dh = fr.dh[0]
+def causal_character(fr, i=0):
+    """Tag of grad h at row ``i`` of a Frame by the sign of
+    g(grad h, grad h), with the value.  The dead band scales with
+    |dh|^2 max(1, max|g^-1|), so a small but non-null gradient keeps its
+    character."""
+    dh = fr.dh[i]
     if np.linalg.norm(dh) < GRAD_ZERO_TOL:
         raise VanishingGradient(
             f"{fr.spec.name}: grad h vanishes at the sample point")
-    v = float(fr.gradh_sq[0])
-    scale = np.dot(dh, dh) * max(1.0, float(np.max(np.abs(fr.ginv0[0]))))
+    v = float(fr.gradh_sq[i])
+    scale = np.dot(dh, dh) * max(1.0, float(np.max(np.abs(fr.ginv0[i]))))
     if abs(v) < CAUSAL_DEADBAND * scale:
         return "lightlike", v
     return ("spacelike" if v > 0.0 else "timelike"), v
 
 
 def classify(spec, p, tol=DEFAULT_TOL):
-    """Full RicciTypeReport at a point, from an order-0 Frame."""
-    fr = T.frame_at(spec, np.asarray(p, dtype=float)[None, :], 0)
-    tag, eig, degree = jordan_type(ricci_operator(fr), tol)
-    char, v = causal_character(fr)
-    return RicciTypeReport(point=np.asarray(p, dtype=float),
-                           eigenvalues=eig, type_tag=tag,
+    """Full RicciTypeReport at a point, from a one-point order-0 Frame."""
+    p = np.asarray(p, dtype=float)
+    return classify_row(T.frame_at(spec, p[None, :], 0), 0, p, tol)
+
+
+def classify_row(fr, i, p, tol=DEFAULT_TOL):
+    """Full RicciTypeReport at row ``i``, the point ``p``, of a Frame of
+    either order; a row's fields are bit-identical to those of the
+    point's own one-point Frame, so the report is too."""
+    tag, eig, degree = jordan_type(ricci_operator(fr, i), tol)
+    char, v = causal_character(fr, i)
+    return RicciTypeReport(point=p, eigenvalues=eig, type_tag=tag,
                            nilpotency_degree=degree,
                            causal_character=char, gradh_sq=v)
 

@@ -82,17 +82,21 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _classify_at_probe(spec):
+def _classify_at_probe(spec, fr=None, p=None):
     """Classify at the first Halton point where grad h does not vanish.
 
     A plan point can sit on a critical point of the density (a box
     midpoint, say), where the causal character is undefined.  Point k is
     taken from a k-point plan, because a Halton point depends on the plan
     length: the first probe is then the point of a one-point plan,
-    whatever PROBE_POINTS is."""
+    whatever PROBE_POINTS is.  Given a Frame ``fr`` whose last row is
+    that first point ``p``, the first probe reads the row instead of
+    building the point's own Frame; the report is the same."""
     seed = resolve_seed()
     for k in range(1, PROBE_POINTS + 1):
         try:
+            if k == 1 and fr is not None:
+                return classify.classify_row(fr, -1, p)
             return classify.classify(spec, sample_box(spec.box, k, seed)[-1])
         except VanishingGradient:
             if k == PROBE_POINTS:
@@ -109,6 +113,45 @@ def _entry_specs(args):
     return sorted(entries, key=lambda e: e.entry_id)
 
 
+def _verify_entry(entry, samples):
+    """One entry's report item and exit status.
+
+    The plan and the first probe point are one order-1 Frame.  If that
+    Frame fails, the plan runs alone and the probe builds its own Frame,
+    so a fault at the probe alone fails the classification only, with
+    the same report as a Frame of its own gives.  The Frame is freed on
+    return, before the next entry builds its own."""
+    try:
+        spec = catalog.build(entry)
+        probe = sample_box(spec.box, 1)[0]
+        try:
+            wrep, fr = weighted.verify(spec, samples=samples, probe=probe)
+        except WefeError:
+            wrep, fr = weighted.verify(spec, samples=samples), None
+        item = wrep.as_dict()
+    except WefeError as exc:
+        return {"error": {"type": type(exc).__name__,
+                          "message": str(exc)}}, EXIT_EVAL
+    status = EXIT_OK
+    flags = {f: spec.flags.get(f) for f in ("ricci_type", "causal_character")}
+    try:
+        crep = _classify_at_probe(spec, fr, probe)
+        item["classification"] = crep.as_dict()
+        for flag, got in (("ricci_type", crep.type_tag),
+                          ("causal_character", crep.causal_character)):
+            if flags[flag] is not None and flags[flag] != got:
+                item["mismatches"].append(
+                    f"{flag}: expected {flags[flag]}, computed {got}")
+    except WefeError as exc:
+        item["classification"] = {"error": str(exc)}
+        # a flag that could not be checked is an evaluation failure
+        if any(want is not None for want in flags.values()):
+            status = EXIT_EVAL
+    if item["mismatches"]:
+        status = max(status, EXIT_MISMATCH)
+    return item, status
+
+
 def cmd_verify(args) -> int:
     if args.samples < 1:
         sys.stderr.write(f"error: --samples must be at least 1, "
@@ -119,26 +162,8 @@ def cmd_verify(args) -> int:
     status = EXIT_OK
     for entry in entries:
         t0 = time.perf_counter()
-        try:
-            spec = catalog.build(entry)
-            wrep = weighted.verify(spec, samples=args.samples)
-            item = wrep.as_dict()
-            try:
-                crep = _classify_at_probe(spec)
-                item["classification"] = crep.as_dict()
-                for flag, got in (("ricci_type", crep.type_tag),
-                                  ("causal_character", crep.causal_character)):
-                    want = spec.flags.get(flag)
-                    if want is not None and want != got:
-                        item["mismatches"].append(
-                            f"{flag}: expected {want}, computed {got}")
-            except WefeError as exc:
-                item["classification"] = {"error": str(exc)}
-            if item["mismatches"]:
-                status = max(status, EXIT_MISMATCH)
-        except WefeError as exc:
-            item = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-            status = max(status, EXIT_EVAL)
+        item, entry_status = _verify_entry(entry, args.samples)
+        status = max(status, entry_status)
         item["seconds"] = time.perf_counter() - t0
         report["entries"][entry.entry_id] = item
     _emit(report, args)

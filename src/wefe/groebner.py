@@ -535,17 +535,6 @@ def _interreduce(basis, terms):
     return out
 
 
-def is_groebner(basis) -> bool:
-    """Post-hoc certificate: every S-polynomial reduces to zero."""
-    prim = [_primitive(g) for g in basis]
-    basis = [g for _, g, _ in prim]
-    lead = [lt for _, _, lt in prim]
-    for f, g in combinations(basis, 2):
-        if _reduce(_spoly(f, g), basis, lead=lead)[0]:
-            return False
-    return True
-
-
 G_TARGET = parse_poly("16 b^8 +8 b^6 alpha^2 +b^4 alpha^4")
 
 

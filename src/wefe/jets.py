@@ -559,51 +559,3 @@ def _eval_node(e, args, pts, ctx):
     if k == "pow":
         return ctx.power(args[0], e.value)
     return getattr(ctx, k)(args[0])  # the JetContext method of that name
-
-
-# -- finite-difference oracle ------------------------------------------
-
-# Step sizes balance stencil truncation (O(h^2)) against round-off
-# amplification (eps / h^order), per total derivative order.
-_FD_STEPS = {1: 1e-5, 2: 1e-4, 3: 1e-3}
-
-_STENCIL_1D = {
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-}
-
-
-def fd_oracle(e, p, order, direction, step=None):
-    """Central finite-difference estimate of a mixed partial.
-
-    ``direction`` is a multi-index (length = chart dimension) whose
-    entries sum to ``order``; returns the plain derivative value
-    (not the Taylor coefficient)."""
-    p = np.asarray(p, dtype=float).reshape(-1)
-    direction = tuple(int(d) for d in direction)
-    if len(direction) != p.shape[0]:
-        raise DomainError("direction multi-index length must match point")
-    if sum(direction) != order or not 0 <= order <= MAX_ORDER:
-        raise DomainError("direction degree must equal order, 0..3")
-    values = jet_context(p.shape[0], 0)
-    if order == 0:
-        return float(eval_jets(e, p[None, :], values)[0, 0])
-
-    axes = [i for i, d in enumerate(direction) if d > 0]
-    base = _FD_STEPS[order] if step is None else float(step)
-    steps = {i: max(abs(p[i]), 1.0) * base for i in axes}
-
-    stencils = [_STENCIL_1D[direction[i]] for i in axes]
-    pts = []
-    weights = []
-    for combo in itertools.product(*stencils):
-        q = p.copy()
-        w = 1.0
-        for ax, (off, coef) in zip(axes, combo):
-            q[ax] += off * steps[ax]
-            w *= coef / steps[ax] ** direction[ax]
-        pts.append(q)
-        weights.append(w)
-    vals = eval_jets(e, np.array(pts), values)[:, 0]
-    return float(np.dot(weights, vals))

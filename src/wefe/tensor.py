@@ -13,7 +13,8 @@ Frame's ``order``:
     R                                           values
     Hes_h, d tau, nabla rho, Cotton, Weyl       values, k = 1 only
 
-Verification reads k = 1, the Ricci-type classification k = 0.  No
+Verification reads k = 1, the Ricci-type classification k = 0, or
+the extra probe row of the verification Frame.  No
 stage reads a derivative of R or of the symbols.  One
 :meth:`wefe.jets.JetContext.hess` gather takes the order-k jets
 d2[pq, ij] = d_p d_q g_ij from g, each of the pairs p <= q and i <= j
@@ -30,7 +31,7 @@ g^-1 are one Newton step from the numeric inverse in closed form, two
 stacked matmuls; every other index contraction between jets is one call
 of :meth:`wefe.jets.JetContext.contract`.  Every value field is an owned
 copy, not a view into a jet array.  There is no single-point API: a
-query at one point reads index 0 of a one-point :class:`Frame` from
+query at one point reads one row of a :class:`Frame` from
 :func:`frame_at`, which builds a new Frame on every call.
 
 Curvature sign conventions are frozen in :mod:`wefe.constants`: the

@@ -6,9 +6,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from wefe import catalog, cli, tensor
+from wefe import catalog, cli, tensor, weighted
+from wefe.errors import DomainError
 from wefe.sampling import resolve_seed, sample_box
 
 GOOD_MANIFEST = """\
@@ -254,6 +256,98 @@ def test_probe_keeps_first_plan_point(tmp_path):
     assert got == pytest.approx(want, rel=1e-11, abs=1e-12)
 
 
+def _frames_built(monkeypatch):
+    """(spec name, rows, order) of every Frame built from now on."""
+    built = []
+
+    class Counted(tensor.Frame):
+        def __init__(self, spec, pts, order=1):
+            built.append((spec.name, len(np.atleast_2d(pts)), order))
+            super().__init__(spec, pts, order)
+
+    monkeypatch.setattr(tensor, "Frame", Counted)
+    return built
+
+
+def test_verify_builds_one_frame_per_entry(tmp_path, monkeypatch):
+    # the plan and the first probe point are rows of one order-1 Frame;
+    # only cor36-1-kneg, whose first probe is a critical point of h,
+    # builds a second, one-point Frame for the next probe
+    built = _frames_built(monkeypatch)
+    assert run(["verify", "--out", str(tmp_path / "r.json")]) == 0
+    want = [(eid, 101, 1) for eid in catalog.entry_ids()]
+    want.insert(want.index(("cor36-1-kneg", 101, 1)) + 1,
+                ("cor36-1-kneg", 1, 0))
+    assert built == want
+
+
+def _probe_fault_manifest(tmp_path, keep_flags):
+    """minkowski with h = (y - c)^2, c the y of the first probe point, so
+    h is positive on the plan but vanishes at the probe."""
+    spec = catalog.build("minkowski")
+    c = float(sample_box(spec.box, 1, resolve_seed())[0][2])
+    lines = []
+    base = pathlib.Path(catalog.__file__).parent / "manifests"
+    for line in (base / "minkowski.manifest").read_text().splitlines():
+        if line.startswith("density:"):
+            dy = f"(sub y {c!r})"
+            line = f"density: (add (mul {dy} {dy}) (mul 0 x))"
+        elif line == "flag: is_solution true":
+            line = "flag: is_solution false"
+        elif line.startswith("flag: ") and line.split()[1] in (
+                "harmonic_curvature", "locally_conformally_flat",
+                "ricci_flat") + (() if keep_flags else
+                                 ("ricci_type", "causal_character")):
+            continue
+        lines.append(line)
+    path = tmp_path / "probe.manifest"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("keep_flags, code", [(True, 3), (False, 0)],
+                         ids=["flags-unchecked", "no-flags"])
+def test_verify_probe_fault_fails_only_the_classification(
+        tmp_path, monkeypatch, keep_flags, code):
+    # the combined Frame fails at its probe row, so the plan runs alone
+    # and the probe in a Frame of its own: the report is the one the two
+    # Frames give separately, and a ricci_type or causal_character flag
+    # that could not be checked is an evaluation failure
+    path = _probe_fault_manifest(tmp_path, keep_flags)
+    spec = catalog.build(catalog.load_manifest(str(path)))
+    want = weighted.verify(spec).as_dict()
+    with pytest.raises(DomainError, match="density not positive at sample "
+                       "point 0") as exc:
+        cli._classify_at_probe(spec)
+    built = _frames_built(monkeypatch)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--manifest", str(path), "--out", str(out)]) == code
+    item = json.loads(out.read_text())["entries"]["minkowski"]
+    assert item["classification"] == {"error": str(exc.value)}
+    assert item["verdicts"] == want["verdicts"]
+    assert item["verdicts"]["is_solution"] is False
+    assert item["mismatches"] == []
+    assert item["residuals"] == cli._round_floats(want["residuals"])
+    assert built == [("minkowski", 101, 1), ("minkowski", 100, 1),
+                     ("minkowski", 1, 0)]
+
+
+@pytest.mark.parametrize("samples", [[], ["--samples", "7"]],
+                         ids=["default", "7"])
+def test_verify_classification_equals_classify(tmp_path, samples):
+    # the probe row of the verify Frame gives the report of the probe's
+    # own one-point order-0 Frame, float for float
+    out = tmp_path / "v.json"
+    assert run(["verify", "--out", str(out)] + samples) == 0
+    entries = json.loads(out.read_text())["entries"]
+    assert sorted(entries) == catalog.entry_ids()
+    for eid, item in entries.items():
+        c = tmp_path / f"{eid}.json"
+        assert run(["classify", "--entry", eid, "--out", str(c)]) == 0
+        assert item["classification"] == \
+            json.loads(c.read_text())["report"], eid
+
+
 def test_classify_non_numeric_point():
     assert run(["classify", "--entry", "minkowski",
                 "--point=a,b,c,d"]) == 4
@@ -420,11 +514,13 @@ def test_manifest_that_fails_to_parse_fails_until_fixed(tmp_path, capsys):
 
 def test_classify_calls_do_not_share_a_frame(tmp_path, monkeypatch):
     # every build returns a fresh spec, and frame_at builds a new Frame
-    # on every call, so no call reads a Frame another call built
-    built = []
+    # on every call, so no call reads a Frame another call built; specs
+    # keeps each spec alive, so that no id is reused
+    built, specs = [], []
 
     class Counted(tensor.Frame):
         def __init__(self, spec, pts, order=1):
+            specs.append(spec)
             built.append((id(spec), order))
             super().__init__(spec, pts, order)
 

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from wefe import catalog
 from wefe.errors import DomainError
 from wefe.jets import (Expr, JetContext, const, coord, cos,
-                       default_coord_names, exp, eval_jets, fd_oracle,
-                       jet_context, log, parse_sexpr, sin, sqrt, to_sexpr)
+                       default_coord_names, exp, eval_jets, jet_context, log,
+                       parse_sexpr, sin, sqrt, to_sexpr)
 from wefe.sampling import sample_box
 from wefe.tensor import Frame
+
+from oracles import fd_oracle
 
 
 def jet_at(e, p, n):

@@ -35,6 +35,25 @@ def test_scaled_density_not_a_solution():
     assert rep.residuals["gh_residual"] > 1e-4
 
 
+def test_probe_row_is_read_by_no_check():
+    # a probe appended to the plan is the Frame's last row; at the box
+    # corner it holds the largest residuals and rho of the Frame, yet the
+    # report is the plan's own
+    spec = catalog.build("ex52-liegroup")
+    bad_h = parse_sexpr("(exp (mul -99/100 t))", spec.coords)
+    bad = dataclasses.replace(spec, h=bad_h)
+    plan = weighted.verify(bad, samples=20, seed=0)
+    rep, fr = weighted.verify(bad, samples=20, seed=0,
+                              probe=np.array([b[1] for b in spec.box]))
+    assert rep.as_dict() == plan.as_dict()
+    assert len(fr.h0) == 21 and rep.points == 20
+    for kernel, key in ((weighted.gh_batch, "gh_residual"),
+                        (weighted.rnf_batch, "rnf_residual"),
+                        (weighted.codazzi_batch, "codazzi_residual")):
+        assert np.max(np.abs(kernel(fr))) > rep.residuals[key], key
+    assert np.max(np.abs(fr.weyl0)) > rep.residuals["weyl_norm"]
+
+
 def test_constant_tau_on_solutions():
     for entry in ("ex52-liegroup", "ex66-kundt", "thm41-surfaces"):
         spec = catalog.build(entry)
