@@ -76,6 +76,8 @@ class CatalogEntry:
     metric: dict                  # (i, j) i<=j -> s-expression string
     density: str
     kundt: str = None             # coordinate name of the null field, if any
+    source: str = "<manifest>"    # the manifest file, as errors name it
+    lines: dict = field(default_factory=dict)  # field -> manifest line
 
     def build(self, **overrides):
         return build(self, **overrides)
@@ -127,7 +129,8 @@ def parse_manifest(text, source="<manifest>"):
         coords=tuple(entry["coords"]), citation=entry["citation"],
         box=tuple(entry["box"]), params=entry["params"],
         flags=entry["flags"], metric=entry["metric"],
-        density=entry["density"], kundt=entry["kundt"])
+        density=entry["density"], kundt=entry["kundt"], source=source,
+        lines=entry["lines"])
 
 
 _SINGLE_KEYS = ("id", "dimension", "signature", "coords", "citation",
@@ -235,7 +238,7 @@ def _parsed(item):
 
 def _copy(entry):
     return replace(entry, params=dict(entry.params), flags=dict(entry.flags),
-                   metric=dict(entry.metric))
+                   metric=dict(entry.metric), lines=dict(entry.lines))
 
 
 def _builtin(entry_id):
@@ -308,10 +311,13 @@ def _build(entry, overrides):
     intern = {}  # one table, so equal subtrees across fields are one node
 
     def parse(field, sexpr):
+        # named by the field's manifest line, as a bad line is at parse
         try:
             return J.parse_sexpr(sexpr, coords, values, intern)
         except (DomainError, ValueError, ZeroDivisionError) as e:
-            raise ManifestError(f"{entry.entry_id}: {field}: {e}") from e
+            line = entry.lines.get(field)
+            where = entry.source if line is None else f"{entry.source}:{line}"
+            raise ManifestError(f"{where}: {field}: {e}") from e
 
     g_upper = {(i, j): parse(f"metric {i} {j}", sexpr)
                for (i, j), sexpr in entry.metric.items()}

@@ -16,7 +16,8 @@ import time
 import numpy as np
 
 from . import __version__, catalog, classify, constants, groebner, ode, weighted
-from .errors import InadmissibleConstants, VanishingGradient, WefeError
+from .errors import (InadmissibleConstants, ManifestError, VanishingGradient,
+                     WefeError)
 from .sampling import resolve_seed, sample_box
 
 EXIT_OK = 0
@@ -113,6 +114,10 @@ def _entry_specs(args):
     return sorted(entries, key=lambda e: e.entry_id)
 
 
+def _error_item(exc):
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def _verify_entry(entry, samples):
     """One entry's report item and exit status.
 
@@ -120,7 +125,8 @@ def _verify_entry(entry, samples):
     Frame fails, the plan runs alone and the probe builds its own Frame,
     so a fault at the probe alone fails the classification only, with
     the same report as a Frame of its own gives.  The Frame is freed on
-    return, before the next entry builds its own."""
+    return, before the next entry builds its own.  An expression that
+    does not parse is bad input, named by its manifest line."""
     try:
         spec = catalog.build(entry)
         probe = sample_box(spec.box, 1)[0]
@@ -129,9 +135,11 @@ def _verify_entry(entry, samples):
         except WefeError:
             wrep, fr = weighted.verify(spec, samples=samples), None
         item = wrep.as_dict()
+    except ManifestError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return _error_item(exc), EXIT_BAD_INPUT
     except WefeError as exc:
-        return {"error": {"type": type(exc).__name__,
-                          "message": str(exc)}}, EXIT_EVAL
+        return _error_item(exc), EXIT_EVAL
     status = EXIT_OK
     flags = {f: spec.flags.get(f) for f in ("ricci_type", "causal_character")}
     try:

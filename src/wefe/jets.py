@@ -14,7 +14,7 @@ The parses of one spec share an intern table, so a conformal or warping
 factor repeated across components is one node, and :func:`eval_jets`
 evaluates a whole component array with each distinct node computed once
 (the shared-node tape of Griewank & Walther, *Evaluating Derivatives*,
-ch. 6).
+ch. 6), each jet freed after its last reader.
 
 Jets are stored densely: one coefficient per multi-index of total
 degree <= order, Taylor-normalized (the coefficient of ``alpha`` is
@@ -506,30 +506,50 @@ def eval_jets(e, pts, ctx):
     shape (*shape, m, N).  Each distinct node is evaluated once per call,
     so a subtree shared by several components costs one evaluation.
 
+    The readers of each node are counted first, and the memo drops a
+    node's jet when its last reader has read it, so a call holds the jets
+    still to be read, not every jet it has computed.
+
     A :class:`DomainError` carries the path of the failing node, the
     component indices first; the path is assembled only while the error
     propagates."""
-    return _ev(e, np.asarray(pts, dtype=float), ctx, {})
+    readers = {id(e): 1}
+    _count_readers(e, readers)
+    return _ev(e, np.asarray(pts, dtype=float), ctx, {}, readers)
 
 
-def _ev(e, pts, ctx, memo):
-    """Jet of ``e``, memoized by node identity in ``memo``.  A module-level
+def _count_readers(e, readers):
+    """Add to ``readers[id(c)]`` one read for every child slot of every
+    distinct node below ``e`` that holds the node c."""
+    for c in (e.children if isinstance(e, Expr) else e):
+        seen = readers.get(id(c), 0)
+        readers[id(c)] = seen + 1
+        if not seen:
+            _count_readers(c, readers)
+
+
+def _ev(e, pts, ctx, memo, readers):
+    """Jet of ``e``, memoized by node identity in ``memo`` while
+    ``readers`` counts reads of it still to come.  A module-level
     function rather than a closure over ``memo``: a closure that calls
     itself is a reference cycle, which would keep every node jet of the
     call alive until the cyclic garbage collector runs."""
-    out = memo.get(id(e))
-    if out is not None:
-        return out
-    node = isinstance(e, Expr)
-    args = []
-    for i, c in enumerate(e.children if node else e):
-        try:
-            args.append(_ev(c, pts, ctx, memo))
-        except DomainError as err:
-            err.path = (i,) + err.path
-            raise
-    out = memo[id(e)] = (_eval_node(e, args, pts, ctx) if node
-                         else np.stack(args))
+    key = id(e)
+    out = memo.pop(key, None)
+    if out is None:
+        node = isinstance(e, Expr)
+        args = []
+        for i, c in enumerate(e.children if node else e):
+            try:
+                args.append(_ev(c, pts, ctx, memo, readers))
+            except DomainError as err:
+                err.path = (i,) + err.path
+                raise
+        out = (_eval_node(e, args, pts, ctx) if node
+               else np.stack(args))
+    readers[key] -= 1
+    if readers[key]:
+        memo[key] = out
     return out
 
 

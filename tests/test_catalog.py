@@ -113,9 +113,12 @@ def test_manifest_rejects_malformed(mangle, frag):
 
 
 def test_unbalanced_expression_fails_at_build():
+    # named by its file and line, as a bad line is at parse
     e = catalog.parse_manifest(
-        GOOD.replace("density: (exp x)", "density: (exp x"))
-    with pytest.raises(ManifestError, match="toy: density") as exc:
+        GOOD.replace("density: (exp x)", "density: (exp x"),
+        source="toy.manifest")
+    with pytest.raises(ManifestError,
+                       match=r"^toy\.manifest:13: density: ") as exc:
         e.build()
     assert isinstance(exc.value.__cause__, DomainError)
 
@@ -250,8 +253,11 @@ def test_key_error_inside_line_names_source_and_line():
     ("density", "density: (exp x)", "density: (pow x 1/0)"),
 ])
 def test_expression_error_names_entry_and_field(field, line, bad):
-    e = catalog.parse_manifest(GOOD.replace(line, bad))
-    with pytest.raises(ManifestError, match=f"toy: {field}: "):
+    # the entry's manifest file, the field's line and the field
+    lineno = GOOD.splitlines().index(line) + 1
+    e = catalog.parse_manifest(GOOD.replace(line, bad), source="toy.manifest")
+    with pytest.raises(ManifestError,
+                       match=rf"^toy\.manifest:{lineno}: {field}: "):
         e.build()
 
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from wefe import catalog, cli, tensor, weighted
+from wefe import catalog, cli, jets, tensor, weighted
 from wefe.errors import DomainError
 from wefe.sampling import resolve_seed, sample_box
 
@@ -589,6 +589,38 @@ def test_verify_manifest_bad_field_exit_4(tmp_path, capsys, mangle, line,
     path.write_text(mangle(GOOD_MANIFEST))
     assert run(["verify", "--manifest", str(path)]) == 4
     assert f"field.manifest:{line}: {frag}" in capsys.readouterr().err
+
+
+def test_verify_manifest_bad_expression_exit_4(tmp_path, capsys):
+    # an expression that does not parse used to be an evaluation failure
+    # (exit 3) named by entry and field only
+    path = tmp_path / "expr.manifest"
+    path.write_text(GOOD_MANIFEST.replace("density: (add 2 x)",
+                                          "density: (add 2 np.float64)"))
+    out = tmp_path / "r.json"
+    assert run(["verify", "--manifest", str(path), "--out", str(out)]) == 4
+    msg = f"{path}:19: density: unknown atom 'np.float64' in expression"
+    assert f"error: {msg}" in capsys.readouterr().err
+    (item,) = json.loads(out.read_text())["entries"].values()
+    assert item["error"] == {"type": "ManifestError", "message": msg}
+
+
+def test_verify_parses_each_expression_once(tmp_path, monkeypatch):
+    # expressions are parsed when the entry is built, not also when the
+    # manifest is read
+    parsed = []
+    parse = jets.parse_sexpr
+
+    def counted(text, *args):
+        parsed.append(text)
+        return parse(text, *args)
+
+    monkeypatch.setattr(jets, "parse_sexpr", counted)
+    path = tmp_path / "toy.manifest"
+    path.write_text(GOOD_MANIFEST)
+    assert run(["verify", "--manifest", str(path), "--samples", "4",
+                "--out", str(tmp_path / "r.json")]) == 0
+    assert sorted(parsed) == sorted(["-1", "1", "1", "1", "(add 2 x)"])
 
 
 @pytest.mark.skipif(not cli._GLIBC,

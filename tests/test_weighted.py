@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -166,3 +167,21 @@ def test_3d_conformal_flatness_uses_cotton():
                              seed=0)
     assert warped.residuals["cotton_norm"] < 1e-9
     assert warped.locally_conformally_flat
+
+
+PARAM_IDS = [e for e in catalog.entry_ids() if catalog.get_entry(e).params]
+
+
+@pytest.mark.parametrize("entry", PARAM_IDS)
+def test_every_admissible_parameter_keeps_the_flags(entry):
+    # every corner of the declared parameter box and 32 seeded Halton
+    # draws inside it: the flags are claims about the whole family
+    params = catalog.get_entry(entry).params
+    names = list(params)
+    ranges = [params[k][1:] for k in names]
+    draws = list(itertools.product(*ranges))
+    draws += sample_box(ranges, 32, seed=0).tolist()
+    for values in draws:
+        spec = catalog.build(entry, **dict(zip(names, values)))
+        rep = weighted.verify(spec, samples=100, seed=0)
+        assert rep.mismatches == [], (values, rep.mismatches)
