@@ -57,9 +57,6 @@ def _halton(npts, dim, seed):
 def sample_box(box, npts, seed=None):
     """Halton points inside ``box`` (list of (lo, hi)), each interval
     shrunk by ``BOX_SHRINK`` of its width from both ends."""
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    u = halton(npts, len(box), seed)
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    width = hi - lo
-    return lo + width * (BOX_SHRINK + (1.0 - 2.0 * BOX_SHRINK) * u)
+    lo, hi = np.array(box, dtype=float).reshape(-1, 2).T
+    u = halton(npts, len(lo), seed)
+    return lo + (hi - lo) * (BOX_SHRINK + (1.0 - 2.0 * BOX_SHRINK) * u)

@@ -98,14 +98,9 @@ def make_spec(name, n, g_upper, h, box, signature="lorentzian",
     """Build a spec from the upper-triangular component map
     {(i, j): Expr, i <= j}; missing entries are zero."""
     zero = J.const(0)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            key = (i, j) if i <= j else (j, i)
-            row.append(g_upper.get(key, zero))
-        rows.append(tuple(row))
-    return MetricMeasureSpec(name=name, n=n, g=tuple(rows), h=h,
+    rows = tuple(tuple(g_upper.get((min(i, j), max(i, j)), zero)
+                       for j in range(n)) for i in range(n))
+    return MetricMeasureSpec(name=name, n=n, g=rows, h=h,
                              box=tuple(tuple(b) for b in box),
                              signature=signature, coords=tuple(coords),
                              flags=dict(flags or {}), citation=citation)
@@ -257,7 +252,9 @@ class Frame:
         dhJ = ck1.grad(hJ)
         self.dh = values(dhJ)                    # (m, a)
         self.gradh = np.einsum("mij,mj->mi", ginv0, self.dh)
-        self.gradh_sq = np.einsum("mi,mi->m", self.dh, self.gradh)
+        # summed term by term over a: einsum sums a one-point Frame's
+        # terms, contiguous both ways, in another order
+        self.gradh_sq = sum(self.dh.T * self.gradh.T)
         if k == 0:
             return
 
@@ -343,28 +340,3 @@ def kn_product(A, B):
 def frame_at(spec, pts, order=1):
     """A new batched Frame of the given order."""
     return Frame(spec, pts, order)
-
-
-# -- warped-product Ricci oracle -----------------------------------------
-
-def multiply_warped_ricci(eps, fibers):
-    """Ricci oracle for eps dt^2 + sum_a f_a^2 g_{F_a}: ``fibers`` is a
-    list of (f, f', f'', fiber_ricci, fiber_metric) blocks.  Returns the
-    full coordinate matrix with the base coordinate first and fiber
-    blocks in order; cross blocks vanish."""
-    dims = [np.asarray(fm).shape[0] for (_, _, _, _, fm) in fibers]
-    n = 1 + sum(dims)
-    out = np.zeros((n, n))
-    out[0, 0] = -sum(d * fpp / f
-                     for d, (f, fp, fpp, _, _) in zip(dims, fibers))
-    ofs = 1
-    for a, (f, fp, fpp, fric, fmet) in enumerate(fibers):
-        d = dims[a]
-        mix = sum(dims[b] * fibers[b][1] / fibers[b][0]
-                  for b in range(len(fibers)) if b != a)
-        c = eps * (fpp / f + (d - 1) * (fp / f) ** 2 + (fp / f) * mix)
-        block = np.asarray(fric, dtype=float) \
-            - c * f ** 2 * np.asarray(fmet, dtype=float)
-        out[ofs:ofs + d, ofs:ofs + d] = block
-        ofs += d
-    return out

@@ -141,25 +141,14 @@ def verify(spec, samples=DEFAULT_SAMPLES, seed=None, probe=None):
     # Weyl vanishes identically in 3D, where the Cotton tensor decides
     lcf = (cotton if spec.n == 3 else weyl) < max(1e-9, ATOL)
 
-    residuals = {
-        "gh_residual": gh,
-        "tau_gradient": tau_grad,
-        "rnf_residual": rnf,
-        "d_tensor_agreement": d_agree,
-        "codazzi_residual": codazzi,
-        "weyl_norm": weyl,
-        "cotton_norm": cotton,
-        "d_norm": d_norm,
-    }
+    residuals = dict(
+        gh_residual=gh, tau_gradient=tau_grad, rnf_residual=rnf,
+        d_tensor_agreement=d_agree, codazzi_residual=codazzi,
+        weyl_norm=weyl, cotton_norm=cotton, d_norm=d_norm)
     report = WeightedReport(
-        spec_name=spec.name,
-        residuals=residuals,
-        is_solution=is_solution,
-        constant_tau=constant_tau,
-        harmonic_curvature=harmonic,
-        locally_conformally_flat=lcf,
-        points=m,
-    )
+        spec_name=spec.name, residuals=residuals, is_solution=is_solution,
+        constant_tau=constant_tau, harmonic_curvature=harmonic,
+        locally_conformally_flat=lcf, points=m)
     for flag, got in (
             ("is_solution", is_solution),
             ("harmonic_curvature", harmonic),

@@ -1,6 +1,7 @@
 """Reference implementations that only the tests read: a central
-finite-difference oracle for the jets and a post-hoc Groebner-basis
-certificate.  They check the program and are not part of it."""
+finite-difference oracle for the jets, a post-hoc Groebner-basis
+certificate and the closed-form Ricci tensor of a multiply warped
+product.  They check the program and are not part of it."""
 
 import itertools
 
@@ -69,3 +70,28 @@ def is_groebner(basis) -> bool:
         if _reduce(_spoly(f, g), basis, lead=lead)[0]:
             return False
     return True
+
+
+# -- warped-product Ricci oracle ----------------------------------------
+
+def multiply_warped_ricci(eps, fibers):
+    """Ricci oracle for eps dt^2 + sum_a f_a^2 g_{F_a}: ``fibers`` is a
+    list of (f, f', f'', fiber_ricci, fiber_metric) blocks.  Returns the
+    full coordinate matrix with the base coordinate first and fiber
+    blocks in order; cross blocks vanish."""
+    dims = [np.asarray(fm).shape[0] for (_, _, _, _, fm) in fibers]
+    n = 1 + sum(dims)
+    out = np.zeros((n, n))
+    out[0, 0] = -sum(d * fpp / f
+                     for d, (f, fp, fpp, _, _) in zip(dims, fibers))
+    ofs = 1
+    for a, (f, fp, fpp, fric, fmet) in enumerate(fibers):
+        d = dims[a]
+        mix = sum(dims[b] * fibers[b][1] / fibers[b][0]
+                  for b in range(len(fibers)) if b != a)
+        c = eps * (fpp / f + (d - 1) * (fp / f) ** 2 + (fp / f) * mix)
+        block = np.asarray(fric, dtype=float) \
+            - c * f ** 2 * np.asarray(fmet, dtype=float)
+        out[ofs:ofs + d, ofs:ofs + d] = block
+        ofs += d
+    return out

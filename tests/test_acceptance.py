@@ -11,7 +11,7 @@ import numpy as np
 from wefe import catalog, classify, groebner, jets, ode, tensor, weighted
 from wefe.sampling import sample_box
 
-from oracles import fd_oracle, is_groebner
+from oracles import fd_oracle, is_groebner, multiply_warped_ricci
 
 SEED = 0
 
@@ -273,7 +273,7 @@ def test_criterion_9_oracles():
             gF = chart * np.eye(3)
             rhoF = 2.0 * kappa * gF
             phi, phip, phipp = phi_fns(p[0])
-            rho = tensor.multiply_warped_ricci(
+            rho = multiply_warped_ricci(
                 -1.0, [(phi, phip, phipp, rhoF, gF)])
             worst_warp = max(worst_warp, np.max(np.abs(rho - fr.ric0[i])))
 

@@ -190,6 +190,98 @@ def test_mul_broadcasts_lead_axes_bit_for_bit(lead_a, lead_b):
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mul_of_a_row_does_not_depend_on_the_row_count(n, k):
+    # each coefficient is summed over its pairs in one fixed order, so a
+    # row's product is the same alone as among 100 other rows
+    ctx = jet_context(n, k)
+    a, b = np.random.default_rng([n, k]).uniform(-2.0, 2.0, (2, 101, ctx.N))
+    whole = ctx.mul(a, b)
+    for m in (1, 2, 3, 5, 17, 100):
+        np.testing.assert_array_equal(ctx.mul(a[:m], b[:m]), whole[:m],
+                                      err_msg=f"{m} rows")
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_mul_is_the_pair_loop_bit_for_bit(n, k):
+    # the fixed order: each coefficient adds its pairs one at a time, in
+    # the order of the double loop over the multi-indices
+    ctx = jet_context(n, k)
+    a, b = np.random.default_rng([n, k, 1]).uniform(-2.0, 2.0, (2, 3, ctx.N))
+    want = np.zeros_like(a)
+    for i, alpha in enumerate(ctx.multi_indices):
+        for j, beta in enumerate(ctx.multi_indices):
+            s = tuple(x + y for x, y in zip(alpha, beta))
+            if sum(s) <= k:
+                want[:, ctx.index_of[s]] += a[:, i] * b[:, j]
+    np.testing.assert_array_equal(ctx.mul(a, b), want)
+
+
+def _inside(ctx, support):
+    """1.0 at the multi-indices over the coordinates of ``support``."""
+    return np.array([all(x == 0 or support >> d & 1 for d, x in enumerate(a))
+                     for a in ctx.multi_indices], dtype=float)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_restricted_mul_equals_mul_inside_the_support(k):
+    # the products a restricted context skips are exact zeros on jets
+    # that vanish outside its support; s coordinates take C(2s + k, k)
+    # index pairs (at order 3: 10, 35, 84 and 165)
+    ctx = jet_context(4, k)
+    rng = np.random.default_rng(k)
+    for support in range(16):
+        sub = ctx.restrict(support)
+        assert isinstance(sub, JetContext) and sub is ctx.restrict(support)
+        s = bin(support).count("1")
+        assert len(sub._ti) == math.comb(2 * s + k, k)
+        inside = _inside(ctx, support)
+        a, b = rng.uniform(-2.0, 2.0, (2, 7, ctx.N)) * inside
+        got = sub.mul(a, b)
+        np.testing.assert_array_equal(got, ctx.mul(a, b), err_msg=support)
+        assert not np.any(got * (1.0 - inside))
+    assert ctx.restrict(15) is ctx
+
+
+def test_support_is_the_union_of_coordinate_bits():
+    x, y, w = coord(0), coord(1), coord(3)
+    assert (x.support, y.support, w.support) == (1, 2, 8)
+    assert const(2).support == const(Fraction(1, 3)).support == 0
+    assert (2 * sin(x)).support == 1
+    assert (exp(x + w) / y).support == 0b1011
+    assert ((y ** 3) - 1).support == 2
+    e = parse_sexpr("(mul (sqrt (add 2 (sin v))) (log (add 3 (cos u))))",
+                    ("t", "u", "v"))
+    assert e.support == 0b110 and e.children[0].support == 0b100
+
+
+def test_products_run_over_the_node_support(monkeypatch):
+    # each product-forming node multiplies over its own coordinates only,
+    # and the jets equal those of the full context
+    pairs = []
+    mul = JetContext.mul
+
+    def counted(self, a, b):
+        pairs.append(len(self._ti))
+        return mul(self, a, b)
+
+    e = parse_sexpr("(add (mul (sin t) (exp (mul t z))) (pow (add 2 y) 3))",
+                    ("t", "x", "y", "z"))
+    ctx = jet_context(4)
+    pts = sample_box([(-0.5, 0.5)] * 4, 9, 0)
+    got = eval_jets(e, pts, ctx)
+    monkeypatch.setattr(JetContext, "mul", counted)
+    eval_jets(e, pts, ctx)
+    # sin t: 2 products, t z: 1, exp: 2, the outer mul: 1, the cube: 2
+    assert sorted(pairs) == [10, 10, 10, 10, 35, 35, 35, 35]
+    monkeypatch.setattr(JetContext, "restrict", lambda self, support: self)
+    pairs.clear()
+    np.testing.assert_array_equal(eval_jets(e, pts, ctx), got)
+    assert pairs == [165] * 8
+
+
 def test_eval_jets_rejects_coordinate_outside_chart():
     e = parse_sexpr("(mul x (add y z))", ("x", "y", "z"))
     with pytest.raises(DomainError, match="coordinate index 2"):

@@ -9,10 +9,11 @@ from wefe import catalog, classify, jets, tensor, weighted
 from wefe.constants import RICCI_SIGN, RIEMANN_SIGN
 from wefe.errors import (DimensionError, DomainError, SignatureMismatch,
                          SingularMetric)
-from wefe.jets import const, coord, exp, parse_sexpr, sin
+from wefe.jets import const, coord, cos, exp, parse_sexpr, sin
 from wefe.sampling import resolve_seed, sample_box
-from wefe.tensor import (Frame, frame_at, kn_product, make_spec,
-                         multiply_warped_ricci)
+from wefe.tensor import Frame, frame_at, kn_product, make_spec
+
+from oracles import multiply_warped_ricci
 
 
 def round_sphere_spec(r=1.0):
@@ -600,21 +601,46 @@ ORDER1_FIELDS = ("d_tau", "hes0", "lap0", "scalar_j0", "cov_ric", "cotton0",
                  "weyl0")
 
 
-@pytest.mark.parametrize("eid", catalog.entry_ids())
-def test_point_fields_do_not_depend_on_frame_size(eid):
-    # a point's curvature is bit for bit the same alone in a one-point
-    # Frame of either order as in a row of the 100-point plan Frame
-    spec = catalog.build(eid)
+def _assert_rows_alone_match_plan(spec, rows, orders):
+    """Every field of a one-point Frame of each order in ``orders`` at
+    each plan row in ``rows`` equals that row of the 100-point plan's
+    order-1 Frame, bit for bit."""
     plan = sample_box(spec.box, 100, resolve_seed())
     whole = Frame(spec, plan, 1)
-    for i in (0, 1, 7, 50, 99):
-        for order, names in ((0, ORDER0_FIELDS),
-                             (1, ORDER0_FIELDS + ORDER1_FIELDS)):
+    for i in rows:
+        for order in orders:
             alone = Frame(spec, plan[i:i + 1], order)
-            for name in names:
+            for name in ORDER0_FIELDS + (ORDER1_FIELDS if order else ()):
                 got, want = getattr(alone, name), getattr(whole, name)
                 if want is None:        # weyl0 below dimension 4
                     assert got is None
                     continue
                 np.testing.assert_array_equal(got[0], want[i],
                                               err_msg=f"{i} {order} {name}")
+
+
+@pytest.mark.parametrize("eid", catalog.entry_ids())
+def test_point_fields_do_not_depend_on_frame_size(eid):
+    # a point's curvature is bit for bit the same alone in a one-point
+    # Frame of either order as in a row of the 100-point plan Frame
+    _assert_rows_alone_match_plan(catalog.build(eid), (0, 1, 7, 50, 99),
+                                  (0, 1))
+
+
+def _generated_spec(n):
+    """A diagonal Lorentzian metric whose components mix up to four
+    coordinates: g_ii = +-(2 + 0.1 sin(x0 + 0.3 x1) exp(0.2 x_{n-1} +
+    x0 x1) cos x_i), minus for i = 0, with h = 2 + sin(x0 + 0.5 x1 x2)
+    on [-0.5, 0.5]^n."""
+    x = [coord(i) for i in range(n)]
+    wave = 0.1 * sin(x[0] + 0.3 * x[1]) * exp(0.2 * x[n - 1] + x[0] * x[1])
+    g = {(i, i): 2 + wave * cos(x[i]) for i in range(n)}
+    g[0, 0] = -g[0, 0]
+    h = 2 + sin(x[0] + 0.5 * x[1] * x[2])
+    return make_spec(f"generated-{n}d", n, g, h, [(-0.5, 0.5)] * n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_generated_point_fields_do_not_depend_on_frame_size(n):
+    # as above in the dimensions the catalog lacks, at every third row
+    _assert_rows_alone_match_plan(_generated_spec(n), range(0, 100, 3), (1,))
