@@ -18,14 +18,14 @@ import numpy as np
 from . import __version__, catalog, classify, constants, groebner, ode, weighted
 from .errors import (InadmissibleConstants, ManifestError, VanishingGradient,
                      WefeError)
-from .sampling import resolve_seed, sample_box
+from .sampling import sample_box
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_EVAL = 3
 EXIT_BAD_INPUT = 4
 
-# plan points tried in turn for the default classification point
+# leading plan points tried in turn for the default classification point
 PROBE_POINTS = 8
 
 # The allocator policy of the wefe process, on glibc only: never trim the
@@ -83,24 +83,23 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _classify_at_probe(spec, fr=None, p=None):
-    """Classify at the first Halton point where grad h does not vanish.
+def _classify_at_probe(spec, fr=None):
+    """Classify at the first plan point where grad h does not vanish.
 
     A plan point can sit on a critical point of the density (a box
-    midpoint, say), where the causal character is undefined.  Point k is
-    taken from a k-point plan, because a Halton point depends on the plan
-    length: the first probe is then the point of a one-point plan,
-    whatever PROBE_POINTS is.  Given a Frame ``fr`` whose last row is
-    that first point ``p``, the first probe reads the row instead of
-    building the point's own Frame; the report is the same."""
-    seed = resolve_seed()
-    for k in range(1, PROBE_POINTS + 1):
+    midpoint, say), where the causal character is undefined, so the
+    first PROBE_POINTS plan points are tried in turn.  Plans are nested,
+    so these are the first rows of verify's plan Frame ``fr``: a point
+    with a row there is read from it, and one past its rows gets its own
+    one-point Frame, since a row's report is that Frame's to the bit."""
+    rows = 0 if fr is None else len(fr.h0)
+    for i, p in enumerate(sample_box(spec.box, PROBE_POINTS)):
         try:
-            if k == 1 and fr is not None:
-                return classify.classify_row(fr, -1, p)
-            return classify.classify(spec, sample_box(spec.box, k, seed)[-1])
+            if i < rows:
+                return classify.classify_row(fr, i, p)
+            return classify.classify(spec, p)
         except VanishingGradient:
-            if k == PROBE_POINTS:
+            if i == PROBE_POINTS - 1:
                 raise
 
 
@@ -121,19 +120,13 @@ def _error_item(exc):
 def _verify_entry(entry, samples):
     """One entry's report item and exit status.
 
-    The plan and the first probe point are one order-1 Frame.  If that
-    Frame fails, the plan runs alone and the probe builds its own Frame,
-    so a fault at the probe alone fails the classification only, with
-    the same report as a Frame of its own gives.  The Frame is freed on
-    return, before the next entry builds its own.  An expression that
-    does not parse is bad input, named by its manifest line."""
+    The plan is one order-1 Frame, and the classification reads its
+    leading rows.  The Frame is freed on return, before the next entry
+    builds its own.  An expression that does not parse is bad input,
+    named by its manifest line."""
     try:
         spec = catalog.build(entry)
-        probe = sample_box(spec.box, 1)[0]
-        try:
-            wrep, fr = weighted.verify(spec, samples=samples, probe=probe)
-        except WefeError:
-            wrep, fr = weighted.verify(spec, samples=samples), None
+        wrep, fr = weighted.verify(spec, samples=samples)
         item = wrep.as_dict()
     except ManifestError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -143,7 +136,7 @@ def _verify_entry(entry, samples):
     status = EXIT_OK
     flags = {f: spec.flags.get(f) for f in ("ricci_type", "causal_character")}
     try:
-        crep = _classify_at_probe(spec, fr, probe)
+        crep = _classify_at_probe(spec, fr)
         item["classification"] = crep.as_dict()
         for flag, got in (("ricci_type", crep.type_tag),
                           ("causal_character", crep.causal_character)):

@@ -2,10 +2,12 @@
 
 Points come from a scrambled Halton sequence; the scramble permutation
 is seeded either explicitly or from the WEFE_SEED environment variable
-(default 0), so runs are reproducible.  A plan depends only on its
-length, dimension and seed, so each one is computed once per process and
-shared read-only: a whole-catalog verify asks for the same plan for every
-entry of one dimension."""
+(default 0), so runs are reproducible.  Every point carries the digits
+of its base down to 2^-53, so it depends only on its index and the
+seed: plans are nested, a k-point plan being bit for bit the first k
+rows of any longer one.  Each plan is computed once per process and
+shared read-only: a whole-catalog verify asks for the same plan for
+every entry of one dimension."""
 
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ def _halton(npts, dim, seed):
         vals = np.zeros(npts)
         idx = np.arange(1, npts + 1)
         f = 1.0 / b
-        while np.any(idx > 0):
+        while f > 2.0 ** -53:
             vals += perm[idx % b] * f
             idx //= b
             f /= b

@@ -13,17 +13,17 @@ Frame's ``order``:
     R                                           values
     Hes_h, d tau, nabla rho, Cotton, Weyl       values, k = 1 only
 
-Verification reads k = 1, the Ricci-type classification k = 0, or
-the extra probe row of the verification Frame.  No
-stage reads a derivative of R or of the symbols.  One
-:meth:`wefe.jets.JetContext.hess` gather takes the order-k jets
-d2[pq, ij] = d_p d_q g_ij from g, each of the pairs p <= q and i <= j
-once.  rho's linear term is one contraction of them, over the pairs
-i <= l, with the pair-weighted g^il: the packed form of
+Verification reads k = 1, the Ricci-type classification k = 0 or a row
+of the verification Frame.  No stage reads a derivative of R or of the
+symbols.  One :meth:`wefe.jets.JetContext.hess` gather takes the
+order-k jets d2[pq, ij] = d_p d_q g_ij from g, each of the pairs p <= q
+and i <= j once.  rho's linear term is one contraction of them, over
+the pairs i <= l, with the pair-weighted g^il: the packed form of
 (W + W^T - B - C)/2, W_kj = g^il d_i d_k g_jl, B_jk = g^il d_i d_l g_jk
 and C_jk = g^il d_j d_k g_il, which never forms the n^4 jets of W.  The
 quadratic term in the symbols follows.  R's values are the values of d2
-unpacked and antisymmetrized, minus the quadratic term at order 0.
+unpacked, minus the order-0 quadratic term made symmetric under the
+exchange of its index pairs, each antisymmetrized apart.
 Since nabla g = 0, nabla P is nabla rho less dJ g, over n - 2.  g is
 one :func:`wefe.jets.eval_jets` call, which evaluates each shared node
 (a repeated conformal factor) once; h is a second call.  The jets of
@@ -37,8 +37,8 @@ query at one point reads one row of a :class:`Frame` from
 Each jet array of the build is freed after its last reader.  The
 quadratic Ricci term is formed before d2 is gathered, so the symbols'
 jets never meet d2, and d2, Z and L (P x P pair jets, P = n(n+1)/2)
-each go once the next is formed: a 101-row order-1 Frame at n = 4 keeps
-0.64 MB and peaks at 1.8 MB of arrays.
+each go once the next is formed: a 100-row order-1 Frame at n = 4 keeps
+0.63 MB and peaks at 1.8 MB of arrays.
 
 Curvature sign conventions are frozen in :mod:`wefe.constants`: the
 valence-4 curvature is R(X,Y,Z,U) = g((nabla_[X,Y] - [nabla_X,
@@ -203,17 +203,20 @@ class Frame:
         del gP
         F = d2[..., 0][S[:, None, :, None], S[None, :, None, :]]
 
-        # curvature R~(i,j,k,l) = D - (D with i <-> j) as values, where
-        # D[i, j, k, l] = (F[i, j, k, l] - F[i, j, l, k])/2 - G_sil Gamma^s_jk
-        D = F - F.transpose(0, 1, 3, 2, 4)
+        # R~ = (B - B^ij - (Qs - Qs^ij))/2 as values, ^ij swapping i and j,
+        # B = F[i, j, k, l] - F[i, j, l, k] and Qs = Q + Q[j, i, l, k] with
+        # Q = G_sil Gamma^s_jk, copied point-last: Qs is exactly symmetric,
+        # so R~ is exactly antisymmetric in (i, j) and in (k, l)
+        B = F - F.transpose(0, 1, 3, 2, 4)
         del F
-        D *= 0.5
-        D -= c0.contract(low0.transpose(2, 1, 0, 3, 4),
-                         up0)[..., 0].transpose(1, 2, 3, 0, 4)
-        del low0
-        R = D - D.transpose(1, 0, 2, 3, 4)
-        del D
-        R *= RIEMANN_SIGN
+        R = B - B.transpose(1, 0, 2, 3, 4)
+        Q = c0.contract(low0.transpose(2, 1, 0, 3, 4), up0)[..., 0]
+        Q = np.ascontiguousarray(Q.transpose(1, 2, 3, 0, 4))
+        del B, low0
+        Qs = Q + Q.transpose(1, 0, 3, 2, 4)
+        R -= Qs - Qs.transpose(1, 0, 2, 3, 4)
+        del Q, Qs
+        R *= 0.5 * RIEMANN_SIGN
         self.riemann0 = R.transpose(4, 0, 1, 2, 3)
 
         # Ricci as order-k jets, the trace g^il R~(i, j, k, l):

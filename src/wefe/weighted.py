@@ -43,10 +43,9 @@ def gh_batch(fr):
             + fr.lap0[:, None, None] * fr.g0)
 
 
-def solution_scale(fr, m=None):
-    """Per-frame scale 1 + |h| |rho| for the solution verdict, over the
-    first ``m`` rows (all by default)."""
-    return 1.0 + np.max(fr.h0[:m]) * np.max(np.abs(fr.ric0[:m]))
+def solution_scale(fr):
+    """Per-frame scale 1 + |h| |rho| for the solution verdict."""
+    return 1.0 + np.max(fr.h0) * np.max(np.abs(fr.ric0))
 
 
 def rnf_batch(fr):
@@ -108,32 +107,27 @@ class WeightedReport:
         }
 
 
-def verify(spec, samples=DEFAULT_SAMPLES, seed=None, probe=None):
+def verify(spec, samples=DEFAULT_SAMPLES, seed=None):
     """Evaluate every residual over the sample plan and compare the
-    derived verdicts with the spec's expected-property flags.
+    derived verdicts with the spec's expected-property flags.  Returns
+    (report, Frame): the caller classifies from the plan's rows."""
+    fr = T.frame_at(spec, sample_box(spec.box, samples, seed))
 
-    A ``probe`` point is appended to the plan as the last row of the same
-    order-1 Frame.  No residual, scale or flag check reads that row, and
-    the call returns (report, Frame) so that the caller can."""
-    pts = sample_box(spec.box, samples, seed)
-    m = len(pts)
-    fr = T.frame_at(spec, pts if probe is None else np.vstack([pts, probe]))
-
-    gh = float(np.max(np.abs(gh_batch(fr)[:m])))
-    tau_grad = float(np.max(np.abs(fr.d_tau[:m])))
-    codazzi = float(np.max(np.abs(codazzi_batch(fr)[:m])))
-    cotton = float(np.max(np.abs(fr.cotton0[:m])))
-    weyl = (float(np.max(np.abs(fr.weyl0[:m]))) if fr.weyl0 is not None
+    gh = float(np.max(np.abs(gh_batch(fr))))
+    tau_grad = float(np.max(np.abs(fr.d_tau)))
+    codazzi = float(np.max(np.abs(codazzi_batch(fr))))
+    cotton = float(np.max(np.abs(fr.cotton0)))
+    weyl = (float(np.max(np.abs(fr.weyl0))) if fr.weyl0 is not None
             else 0.0)
-    d1 = d_form1_batch(fr)[:m]
+    d1 = d_form1_batch(fr)
     d_norm = float(np.max(np.abs(d1)))
 
-    sol_tol = SOLUTION_TOL * solution_scale(fr, m)
+    sol_tol = SOLUTION_TOL * solution_scale(fr)
     is_solution = gh < sol_tol
-    rnf = float(np.max(np.abs(rnf_batch(fr)[:m])))
-    d_agree = float(np.max(np.abs(d1 - d_form2_batch(fr)[:m])))
+    rnf = float(np.max(np.abs(rnf_batch(fr))))
+    d_agree = float(np.max(np.abs(d1 - d_form2_batch(fr))))
 
-    rho_max = float(np.max(np.abs(fr.ric0[:m])))
+    rho_max = float(np.max(np.abs(fr.ric0)))
     scale = max(1.0, rho_max)
     tol = ATOL + RTOL * scale
     constant_tau = tau_grad < tol
@@ -148,7 +142,7 @@ def verify(spec, samples=DEFAULT_SAMPLES, seed=None, probe=None):
     report = WeightedReport(
         spec_name=spec.name, residuals=residuals, is_solution=is_solution,
         constant_tau=constant_tau, harmonic_curvature=harmonic,
-        locally_conformally_flat=lcf, points=m)
+        locally_conformally_flat=lcf, points=len(fr.h0))
     for flag, got in (
             ("is_solution", is_solution),
             ("harmonic_curvature", harmonic),
@@ -160,9 +154,9 @@ def verify(spec, samples=DEFAULT_SAMPLES, seed=None, probe=None):
                 f"{flag}: expected {bool(want)}, computed {got}")
     want = spec.flags.get("tau")
     if want is not None:
-        dev = np.abs(fr.tau0[:m] - want)
+        dev = np.abs(fr.tau0 - want)
         worst = int(np.argmax(dev))
         if not dev[worst] < tol:
             report.mismatches.append(
                 f"tau: expected {want}, computed {fr.tau0[worst]:.12g}")
-    return report if probe is None else (report, fr)
+    return report, fr

@@ -94,7 +94,7 @@ _BRANCH_RUNS = [
 def test_criterion_3_closed_form_branches():
     worst_gh = 0.0
     for entry, _, _, _ in _BRANCH_RUNS:
-        rep = weighted.verify(catalog.build(entry), samples=40, seed=SEED)
+        rep, _ = weighted.verify(catalog.build(entry), samples=40, seed=SEED)
         worst_gh = max(worst_gh, rep.residuals["gh_residual"])
         assert rep.is_solution, entry
 
@@ -119,7 +119,7 @@ def test_criterion_3_closed_form_branches():
 
 def test_criterion_4_plane_wave():
     spec = catalog.build("thm11-planewave")
-    rep = weighted.verify(spec, samples=40, seed=SEED)
+    rep, _ = weighted.verify(spec, samples=40, seed=SEED)
     pts = sample_box(spec.box, 40, SEED)
     fr = tensor.frame_at(spec, pts)
     wnorm = np.max(np.abs(fr.weyl0))
@@ -137,7 +137,7 @@ def test_criterion_4_plane_wave():
 
 def test_criterion_5_ricci_flat_ppwave():
     spec = catalog.build("thm41-ppwave")
-    rep = weighted.verify(spec, samples=40, seed=SEED)
+    rep, _ = weighted.verify(spec, samples=40, seed=SEED)
     pts = sample_box(spec.box, 40, SEED)
     fr = tensor.frame_at(spec, pts)
     eig = max(np.max(np.abs(np.linalg.eigvals(classify.ricci_operator(
@@ -157,7 +157,7 @@ def test_criterion_5_ricci_flat_ppwave():
 
 def test_criterion_6_two_step_nilpotent_ppwave():
     spec = catalog.build("thm62-ppwave")
-    rep = weighted.verify(spec, samples=40, seed=SEED)
+    rep, _ = weighted.verify(spec, samples=40, seed=SEED)
     pts = sample_box(spec.box, 40, SEED)
     fr = tensor.frame_at(spec, pts)
     crep = classify.classify(spec, pts[0])
@@ -178,7 +178,7 @@ def test_criterion_6_two_step_nilpotent_ppwave():
 
 def test_criterion_7_kundt_example():
     spec = catalog.build("ex66-kundt")
-    rep = weighted.verify(spec, samples=40, seed=SEED)
+    rep, _ = weighted.verify(spec, samples=40, seed=SEED)
     pts = sample_box(spec.box, 40, SEED)
     fr = tensor.frame_at(spec, pts)
     crep = classify.classify(spec, pts[0])

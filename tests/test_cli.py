@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wefe import catalog, cli, jets, tensor, weighted
-from wefe.errors import DomainError
+from wefe.errors import VanishingGradient
 from wefe.sampling import resolve_seed, sample_box
 
 GOOD_MANIFEST = """\
@@ -245,8 +245,8 @@ def test_verify_probe_skips_critical_point_of_density(tmp_path):
 
 
 def test_probe_keeps_first_plan_point(tmp_path):
-    # where grad h does not vanish there, reports keep the one-point
-    # plan's point, so they stay byte-stable
+    # where grad h does not vanish there, the report gives plan point 0,
+    # which every plan of the seed shares
     out = tmp_path / "c.json"
     assert run(["classify", "--entry", "ex52-liegroup",
                 "--out", str(out)]) == 0
@@ -270,54 +270,67 @@ def _frames_built(monkeypatch):
 
 
 def test_verify_builds_one_frame_per_entry(tmp_path, monkeypatch):
-    # the plan and the first probe point are rows of one order-1 Frame;
-    # only cor36-1-kneg, whose first probe is a critical point of h,
-    # builds a second, one-point Frame for the next probe
+    # plans are nested, so the probe points are the plan's leading rows:
+    # cor36-1-kneg, whose first point is a critical point of h, reads
+    # its classification from the next row
     built = _frames_built(monkeypatch)
     assert run(["verify", "--out", str(tmp_path / "r.json")]) == 0
-    want = [(eid, 101, 1) for eid in catalog.entry_ids()]
-    want.insert(want.index(("cor36-1-kneg", 101, 1)) + 1,
-                ("cor36-1-kneg", 1, 0))
-    assert built == want
+    assert built == [(eid, 100, 1) for eid in catalog.entry_ids()]
 
 
-def _probe_fault_manifest(tmp_path, keep_flags):
-    """minkowski with h = (y - c)^2, c the y of the first probe point, so
-    h is positive on the plan but vanishes at the probe."""
-    spec = catalog.build("minkowski")
-    c = float(sample_box(spec.box, 1, resolve_seed())[0][2])
+CLASSIFY_FLAGS = ("ricci_type", "causal_character")
+
+
+def _minkowski_manifest(tmp_path, density, drop):
+    """minkowski.manifest with another density and without the flags
+    named in ``drop``."""
     lines = []
     base = pathlib.Path(catalog.__file__).parent / "manifests"
     for line in (base / "minkowski.manifest").read_text().splitlines():
         if line.startswith("density:"):
-            dy = f"(sub y {c!r})"
-            line = f"density: (add (mul {dy} {dy}) (mul 0 x))"
-        elif line == "flag: is_solution true":
-            line = "flag: is_solution false"
-        elif line.startswith("flag: ") and line.split()[1] in (
-                "harmonic_curvature", "locally_conformally_flat",
-                "ricci_flat") + (() if keep_flags else
-                                 ("ricci_type", "causal_character")):
+            line = f"density: {density}"
+        elif line.startswith("flag: ") and line.split()[1] in drop:
             continue
         lines.append(line)
-    path = tmp_path / "probe.manifest"
+    path = tmp_path / "variant.manifest"
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
+@pytest.mark.parametrize("keep_flags", [True, False],
+                         ids=["flags-unchecked", "no-flags"])
+def test_verify_fault_at_first_plan_point_fails_the_entry(
+        tmp_path, monkeypatch, keep_flags):
+    # h = (y - c)^2, c the y of plan point 0, vanishes there, so the
+    # plan Frame fails and the entry is an evaluation failure, with or
+    # without the classification flags
+    c = float(sample_box(catalog.build("minkowski").box, 1,
+                         resolve_seed())[0][2])
+    dy = f"(sub y {c!r})"
+    path = _minkowski_manifest(tmp_path, f"(add (mul {dy} {dy}) (mul 0 x))",
+                               () if keep_flags else CLASSIFY_FLAGS)
+    built = _frames_built(monkeypatch)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--manifest", str(path), "--out", str(out)]) == 3
+    err = json.loads(out.read_text())["entries"]["minkowski"]["error"]
+    assert err["type"] == "DomainError"
+    assert "density not positive at sample point 0" in err["message"]
+    assert built == [("minkowski", 100, 1)]
+
+
 @pytest.mark.parametrize("keep_flags, code", [(True, 3), (False, 0)],
                          ids=["flags-unchecked", "no-flags"])
-def test_verify_probe_fault_fails_only_the_classification(
+def test_verify_flag_that_cannot_be_checked_exits_3(
         tmp_path, monkeypatch, keep_flags, code):
-    # the combined Frame fails at its probe row, so the plan runs alone
-    # and the probe in a Frame of its own: the report is the one the two
-    # Frames give separately, and a ricci_type or causal_character flag
-    # that could not be checked is an evaluation failure
-    path = _probe_fault_manifest(tmp_path, keep_flags)
+    # a constant density has grad h = 0 at every probe point, so the
+    # classification fails: a ricci_type or causal_character flag that
+    # could not be checked is an evaluation failure, and the plan's own
+    # verdicts stand
+    path = _minkowski_manifest(tmp_path, "2",
+                               () if keep_flags else CLASSIFY_FLAGS)
     spec = catalog.build(catalog.load_manifest(str(path)))
-    want = weighted.verify(spec).as_dict()
-    with pytest.raises(DomainError, match="density not positive at sample "
-                       "point 0") as exc:
+    want = weighted.verify(spec)[0].as_dict()
+    with pytest.raises(VanishingGradient) as exc:
         cli._classify_at_probe(spec)
     built = _frames_built(monkeypatch)
     out = tmp_path / "r.json"
@@ -325,18 +338,19 @@ def test_verify_probe_fault_fails_only_the_classification(
     item = json.loads(out.read_text())["entries"]["minkowski"]
     assert item["classification"] == {"error": str(exc.value)}
     assert item["verdicts"] == want["verdicts"]
-    assert item["verdicts"]["is_solution"] is False
+    assert item["verdicts"]["is_solution"] is True
     assert item["mismatches"] == []
     assert item["residuals"] == cli._round_floats(want["residuals"])
-    assert built == [("minkowski", 101, 1), ("minkowski", 100, 1),
-                     ("minkowski", 1, 0)]
+    assert built == [("minkowski", 100, 1)]
 
 
-@pytest.mark.parametrize("samples", [[], ["--samples", "7"]],
-                         ids=["default", "7"])
+@pytest.mark.parametrize("samples", [[], ["--samples", "7"],
+                                     ["--samples", "1"]],
+                         ids=["default", "7", "1"])
 def test_verify_classification_equals_classify(tmp_path, samples):
-    # the probe row of the verify Frame gives the report of the probe's
-    # own one-point order-0 Frame, float for float
+    # a row of the verify Frame gives the report of the point's own
+    # one-point order-0 Frame, float for float; at one sample,
+    # cor36-1-kneg's probe is past the plan and gets that Frame
     out = tmp_path / "v.json"
     assert run(["verify", "--out", str(out)] + samples) == 0
     entries = json.loads(out.read_text())["entries"]

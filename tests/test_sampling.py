@@ -1,4 +1,5 @@
-"""Halton sample plans: cached, read-only, and equal to the plain loop."""
+"""Halton sample plans: cached, read-only, nested, and equal to the plain
+loop."""
 
 import numpy as np
 import pytest
@@ -10,15 +11,16 @@ from wefe.sampling import halton, sample_box
 
 def _reference_box(box, npts, seed):
     """sample_box computed point by point, digit by digit, with no cache:
-    every point runs as many digits as the longest index needs, as the
-    batched plan does, so the sums take the same steps."""
+    every point runs the digits of its base b down to 2^-53, the largest
+    count D with b^D < 2^53, as the batched plan does, so the sums take
+    the same steps."""
     rng = np.random.default_rng(seed)
     out = np.empty((npts, len(box)))
     for d, (lo, hi) in enumerate(box):
         b = sampling._PRIMES[d]
         perm = rng.permutation(b)
         digits = 0
-        while b ** digits <= npts:
+        while b ** (digits + 1) < 2 ** 53:
             digits += 1
         for i in range(npts):
             idx, f, v = i + 1, 1.0 / b, 0.0
@@ -41,6 +43,17 @@ def test_sample_box_equals_uncached_loop(npts, dim):
         got = sample_box(box, npts, 3)
         assert np.array_equal(got, want)
         got[:] = 0.0    # a caller's copy does not write through
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_plans_are_nested(dim, seed):
+    # a point depends only on its index and the seed, so a short plan is
+    # the head of a long one, bit for bit
+    box = [(-1.0 - d, 0.5 * d + 0.25) for d in range(dim)]
+    full = sample_box(box, 1000, seed)
+    for k in (1, 2, 7, 8, 100, 999):
+        assert np.array_equal(sample_box(box, k, seed), full[:k]), k
 
 
 def test_plan_is_computed_once_and_read_only():
